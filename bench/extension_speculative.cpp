@@ -94,7 +94,7 @@ Sample run_sweep(const TransformerModel& model, Precision precision,
   // speculation amortizes. Loopback alone would understate it by ~1000x.
   auto transport = std::make_unique<ChaosTransport>(
       make_transport(TransportKind::kUnixSocket, 5),  // 4 workers + terminal
-      ChaosOptions{.seed = 7});
+      ChaosOptions{.seed = 7, .crash = {}});
   DistributedDecoder decoder(model, PartitionScheme::even(4),
                              OrderPolicy::kAdaptive, std::move(transport));
   decoder.set_precision(precision);

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <exception>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 
 #include "collective/collectives.h"
 #include "collective/softmax_merge.h"
-#include "core/thread_pool.h"
 #include "partition/partitioned_layer.h"
-#include "runtime/failure.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "transformer/ffn.h"
@@ -37,9 +34,7 @@ constexpr float kOpPrime = 1.0F;     // arg = prompt length; col 4 = slot
 constexpr float kOpStep = 2.0F;      // per row: arg = position, col 4 = slot,
                                      // col 5 = token id, col 6 = 1 if the
                                      // row is pre-committed (0 = draft)
-constexpr float kOpShutdown = 3.0F;
-constexpr float kOpRefresh = 4.0F;  // re-read tracer_; no other effect
-constexpr float kOpRelease = 5.0F;  // col 4 = slot: free its KV blocks
+constexpr float kOpRelease = 5.0F;   // col 4 = slot: free its KV blocks
 
 // Tag layout. Commands, prefill features, the final row and the int8 step
 // token rows live on fixed tags; each layer gets one prefill-gather tag and a
@@ -65,15 +60,22 @@ DistributedDecoder::DistributedDecoder(const TransformerModel& model,
                                        PartitionScheme scheme,
                                        OrderPolicy policy,
                                        std::unique_ptr<Transport> transport)
+    : DistributedDecoder(model, std::move(scheme), policy,
+                         std::make_shared<Mesh>(std::move(transport))) {}
+
+DistributedDecoder::DistributedDecoder(const TransformerModel& model,
+                                       PartitionScheme scheme,
+                                       OrderPolicy policy,
+                                       std::shared_ptr<Mesh> mesh)
     : model_(model),
       scheme_(std::move(scheme)),
       policy_(policy),
-      transport_(std::move(transport)) {
+      mesh_(std::move(mesh)) {
   if (model_.spec().kind != ModelKind::kCausalLm) {
     throw std::invalid_argument("DistributedDecoder: needs a causal LM");
   }
   const std::size_t k = scheme_.devices();
-  if (transport_->devices() != k + 1) {
+  if (mesh_->devices() != k) {
     throw std::invalid_argument(
         "DistributedDecoder: transport must have one endpoint per worker "
         "plus the terminal");
@@ -82,94 +84,11 @@ DistributedDecoder::DistributedDecoder(const TransformerModel& model,
   std::iota(everyone_.begin(), everyone_.end(), DeviceId{0});
   workers_.resize(k);
   std::iota(workers_.begin(), workers_.end(), DeviceId{0});
-  errors_.resize(k);
-  threads_.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    threads_.emplace_back([this, i] { worker_main(i); });
-  }
+  devices_.resize(k);
 }
 
-DistributedDecoder::~DistributedDecoder() {
-  if (!dead_) {
-    try {
-      // Flow-free but byte-accounted, like the set_tracer handshake: the
-      // shutdown broadcast's comm span keeps Σ comm-span bytes equal to
-      // the transport's bytes_sent through teardown.
-      const obs::ThreadTracerScope scope(
-          tracer_.load(std::memory_order_acquire));
-      const obs::ThreadTrackScope track(
-          static_cast<obs::TrackId>(terminal_id()));
-      const obs::TraceIdScope untraced(0);
-      Tensor cmd(1, kCmdCols);
-      cmd(0, 0) = kOpShutdown;
-      const std::size_t k = scheme_.devices();
-      broadcast(*transport_, everyone_, k, k, cmd, kTagCmd);
-    } catch (...) {
-      // Mesh already poisoned (a worker died and no call noticed): the
-      // workers are unwinding on their own; just make sure of it.
-      detail::poison(*transport_, "terminal", std::current_exception());
-    }
-  }
-  join_workers();
-}
-
-void DistributedDecoder::join_workers() noexcept {
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void DistributedDecoder::ensure_alive() const {
-  if (dead_) {
-    throw std::logic_error(
-        "DistributedDecoder: mesh failed; build a new decoder");
-  }
-}
-
-void DistributedDecoder::fail_request() {
-  std::exception_ptr terminal_error = std::current_exception();
-  detail::poison(*transport_, "terminal", terminal_error);
-  join_workers();
-  dead_ = true;
-  detail::rethrow_failure(errors_, terminal_error);
-  std::rethrow_exception(terminal_error);  // unreachable: error is non-null
-}
-
-void DistributedDecoder::set_tracer(obs::Tracer* tracer) {
-  obs::Tracer* const previous = tracer_.load(std::memory_order_relaxed);
-  tracer_.store(tracer, std::memory_order_release);
-  if (tracer != nullptr) {
-    for (std::size_t i = 0; i < scheme_.devices(); ++i) {
-      tracer->set_track_name(static_cast<obs::TrackId>(i),
-                             "device " + std::to_string(i));
-    }
-    tracer->set_track_name(static_cast<obs::TrackId>(terminal_id()),
-                           "terminal");
-  }
-  // Workers read tracer_ at the top of their command loop, so a worker that
-  // started idling before this store would serve the next command with the
-  // stale tracer — its sends would open no flow arrows and its receives
-  // would close none. A no-op refresh command forces every idle worker
-  // through the loop top; receiving it happens-after this store, so the
-  // reload is guaranteed to see the new tracer. Trace id 0 keeps the
-  // handshake flow-free, but its comm span is still emitted — into the new
-  // tracer on attach, the outgoing one on detach (alive: it must outlive
-  // the decoder) — so Σ comm-span bytes stays equal to
-  // Transport::total_stats().bytes_sent.
-  if (dead_) return;
-  try {
-    const obs::ThreadTracerScope scope(tracer != nullptr ? tracer : previous);
-    const obs::ThreadTrackScope track(
-        static_cast<obs::TrackId>(terminal_id()));
-    const obs::TraceIdScope untraced(0);
-    Tensor cmd(1, kCmdCols);
-    cmd(0, 0) = kOpRefresh;
-    const std::size_t k = scheme_.devices();
-    broadcast(*transport_, everyone_, k, k, cmd, kTagCmd);
-  } catch (...) {
-    // Mesh already poisoned: the workers are unwinding and will never read
-    // tracer_ again, so there is nobody left to refresh.
-  }
+void DistributedDecoder::run(const Mesh::TerminalPart& terminal_part) {
+  mesh_->run([this](std::size_t i) { serve_command(i); }, terminal_part);
 }
 
 void DistributedDecoder::set_precision(Precision precision) {
@@ -180,7 +99,7 @@ void DistributedDecoder::set_precision(Precision precision) {
 }
 
 void DistributedDecoder::set_metrics(obs::MetricsRegistry* metrics) {
-  transport_->set_metrics(metrics);
+  mesh_->transport().set_metrics(metrics);
   decode_tokens_ = metrics == nullptr ? nullptr
                                       : &metrics->counter("decode.tokens");
 }
@@ -195,91 +114,56 @@ std::size_t DistributedDecoder::slot_position(SlotId slot) const {
 // ---------------------------------------------------------------------------
 // Worker side
 
-void DistributedDecoder::worker_main(std::size_t i) {
+void DistributedDecoder::serve_command(std::size_t i) {
   const std::size_t k = scheme_.devices();
-  // One KV arena per device, shared by every (slot, layer) cache: a
-  // released sequence's blocks are immediately reusable by the next one.
-  // Created lazily at the first prefill so set_kv_block_limit can run after
-  // construction.
-  std::unique_ptr<KvBlockPool> pool;
-  std::vector<WorkerSlot> slots;
-  try {
-    for (;;) {
-      // Publish the tracer and track *before* blocking for the command, so
-      // the wait itself is a span on this device's timeline and the command
-      // broadcast's flow arrow has a track to land on. Receiving the
-      // command adopts its trace id (net/fabric.cpp), so everything this
-      // worker emits while serving it shares the request's causal id.
-      const obs::ThreadTracerScope tracer_scope(
-          tracer_.load(std::memory_order_acquire));
-      const obs::ThreadTrackScope track_scope(static_cast<obs::TrackId>(i));
-      const obs::ThreadLayerScope layer_reset(-1);
-      Tensor cmd(0, 0);
-      {
-        // Idle wait: no deadline — the decoder may sit unused between
-        // calls. Poisoning wakes us (TransportClosedError) if the mesh
-        // dies.
-        obs::TraceSpan span(obs::thread_tracer(), "wait_command", "wait",
-                            static_cast<obs::TrackId>(i));
-        span.device(static_cast<std::int64_t>(i));
-        broadcast(*transport_, everyone_, i, k, cmd, kTagCmd);
-      }
-      if (cmd.rows() < 1 || cmd.cols() < kCmdCols) {
-        throw std::runtime_error("DistributedDecoder: malformed command");
-      }
-      const float op = cmd(0, 0);
-      if (op == kOpShutdown) return;
-      if (op == kOpRefresh) continue;  // loop top re-reads tracer_
-      const IntraOpScope intra_scope(
-          intra_op_threads_.load(std::memory_order_relaxed));
-      obs::TelemetryHub* const hub =
-          telemetry_.load(std::memory_order_acquire);
-      const obs::Micros busy_start = hub != nullptr ? obs::now_us() : 0;
-      // Per-request deadline, fixed by the terminal at call entry and shared
-      // by every blocking receive this command triggers.
-      const RecvOptions options =
-          RecvOptions::within(static_cast<double>(cmd(0, 3)));
-      const Precision wire =
-          cmd(0, 2) != 0.0F ? Precision::kInt8 : Precision::kFp32;
-      if (wire == Precision::kInt8 && qstack_ == nullptr) {
-        throw std::logic_error(
-            "DistributedDecoder: int8 command without a quantized stack");
-      }
-      if (op == kOpPrime) {
-        const auto slot = static_cast<std::size_t>(cmd(0, 4));
-        const auto n = static_cast<std::size_t>(cmd(0, 1));
-        if (pool == nullptr) {
-          pool = std::make_unique<KvBlockPool>(
-              kv_block_floats(model_.spec().layer),
-              kv_block_limit_.load(std::memory_order_relaxed));
-        }
-        if (slot >= slots.size()) slots.resize(slot + 1);
-        WorkerSlot& s = slots[slot];
-        s.caches.resize(model_.spec().num_layers);
-        s.prompt_len = n;
-        s.active = true;
-        worker_prefill(i, n, s.caches, pool.get(), options,
-                       obs::thread_tracer(), wire);
-      } else if (op == kOpStep) {
-        worker_step_windows(i, slots, cmd, options, obs::thread_tracer(),
-                            wire);
-      } else if (op == kOpRelease) {
-        const auto slot = static_cast<std::size_t>(cmd(0, 4));
-        if (slot < slots.size()) {
-          for (DecodeLayerCache& cache : slots[slot].caches) cache.release();
-          slots[slot].active = false;
-          slots[slot].prompt_len = 0;
-        }
-      } else {
-        throw std::runtime_error("DistributedDecoder: unknown opcode");
-      }
-      if (hub != nullptr) {
-        hub->add_device_busy(i, obs::now_us() - busy_start);
-      }
+  DeviceState& device = devices_[i];
+  // No deadline on the command itself: the terminal sends it right away,
+  // and poisoning wakes us if the terminal fails first. Receiving it adopts
+  // the call's trace id (net/fabric.cpp).
+  Tensor cmd(0, 0);
+  broadcast(mesh_->transport(), everyone_, i, k, cmd, kTagCmd);
+  if (cmd.rows() < 1 || cmd.cols() < kCmdCols) {
+    throw std::runtime_error("DistributedDecoder: malformed command");
+  }
+  const float op = cmd(0, 0);
+  // Per-request deadline, fixed by the terminal at call entry and shared by
+  // every blocking receive this command triggers.
+  const RecvOptions options =
+      RecvOptions::within(static_cast<double>(cmd(0, 3)));
+  const Precision wire =
+      cmd(0, 2) != 0.0F ? Precision::kInt8 : Precision::kFp32;
+  if (wire == Precision::kInt8 && qstack_ == nullptr) {
+    throw std::logic_error(
+        "DistributedDecoder: int8 command without a quantized stack");
+  }
+  if (op == kOpPrime) {
+    const auto slot = static_cast<std::size_t>(cmd(0, 4));
+    const auto n = static_cast<std::size_t>(cmd(0, 1));
+    if (device.pool == nullptr) {
+      device.pool = std::make_unique<KvBlockPool>(
+          kv_block_floats(model_.spec().layer), kv_block_limit_);
     }
-  } catch (...) {
-    errors_[i] = std::current_exception();
-    detail::poison(*transport_, "device " + std::to_string(i), errors_[i]);
+    if (slot >= device.slots.size()) device.slots.resize(slot + 1);
+    WorkerSlot& s = device.slots[slot];
+    s.caches.resize(model_.spec().num_layers);
+    s.prompt_len = n;
+    s.active = true;
+    worker_prefill(i, n, s.caches, device.pool.get(), options,
+                   obs::thread_tracer(), wire);
+  } else if (op == kOpStep) {
+    worker_step_windows(i, device.slots, cmd, options, obs::thread_tracer(),
+                        wire);
+  } else if (op == kOpRelease) {
+    const auto slot = static_cast<std::size_t>(cmd(0, 4));
+    if (slot < device.slots.size()) {
+      for (DecodeLayerCache& cache : device.slots[slot].caches) {
+        cache.release();
+      }
+      device.slots[slot].active = false;
+      device.slots[slot].prompt_len = 0;
+    }
+  } else {
+    throw std::runtime_error("DistributedDecoder: unknown opcode");
   }
 }
 
@@ -296,7 +180,7 @@ void DistributedDecoder::worker_prefill(std::size_t i, std::size_t n,
   // the gather entirely — only the owner of row n-1 sends that single row
   // (the LM head reads nothing else).
   Tensor x(0, 0);
-  broadcast(*transport_, everyone_, i, k, x, kTagFeatures, options);
+  broadcast(mesh_->transport(), everyone_, i, k, x, kTagFeatures, options);
   const std::size_t f = x.cols();
   const std::vector<Range> ranges = scheme_.ranges(n);
   const Range own = ranges[i];
@@ -353,7 +237,7 @@ void DistributedDecoder::worker_prefill(std::size_t i, std::size_t n,
             .layer(static_cast<std::int64_t>(l))
             .bytes(static_cast<std::int64_t>(payload.size() +
                                              kWireFrameBytes));
-        transport_->send(Message{.source = i,
+        mesh_->transport().send(Message{.source = i,
                                  .destination = terminal_id(),
                                  .tag = kTagFinal,
                                  .payload = std::move(payload)});
@@ -365,7 +249,7 @@ void DistributedDecoder::worker_prefill(std::size_t i, std::size_t n,
       // then block for the peer rows. The prologue precomputes fp32 Q/K
       // projections, which the int8 plane never consumes — under kInt8 the
       // gather ships quantized rows and the overlap window stays empty.
-      AllGatherInto gather(*transport_, workers_, i, holder, ranges,
+      AllGatherInto gather(mesh_->transport(), workers_, i, holder, ranges,
                            seq[l % 2], kTagPrefillGatherBase + l, options,
                            wire);
       if (!int8 && !own.empty()) {
@@ -406,7 +290,7 @@ void DistributedDecoder::worker_step_windows(std::size_t i,
       throw std::runtime_error("DistributedDecoder: malformed step command");
     }
     Tensor rows(0, 0);
-    broadcast(*transport_, everyone_, i, k, rows, kTagToken, options);
+    broadcast(mesh_->transport(), everyone_, i, k, rows, kTagToken, options);
     if (rows.rows() != rows_total || rows.cols() != f) {
       throw std::runtime_error("DistributedDecoder: malformed token rows");
     }
@@ -502,7 +386,7 @@ void DistributedDecoder::worker_step_windows(std::size_t i,
     // the same fixed rank order a single-lane step uses — k draft positions
     // ride the message count of one token.
     const Tensor merged = all_reduce_softmax_merge(
-        *transport_, workers_, i, l % k, partials, config.heads,
+        mesh_->transport(), workers_, i, l % k, partials, config.heads,
         config.head_dim, kTagMergeBase + 2 * l, options);
     // Post-attention tail on the R rows, redundantly on every device — all
     // ranks leave the layer with bitwise-identical x, so the layer output
@@ -532,7 +416,7 @@ void DistributedDecoder::worker_step_windows(std::size_t i,
     span.device(static_cast<std::int64_t>(i))
         .batch(static_cast<std::int64_t>(rows_total))
         .bytes(static_cast<std::int64_t>(payload.size() + kWireFrameBytes));
-    transport_->send(Message{.source = i,
+    mesh_->transport().send(Message{.source = i,
                              .destination = terminal_id(),
                              .tag = kTagFinal,
                              .payload = std::move(payload)});
@@ -574,7 +458,6 @@ void DistributedDecoder::worker_step_windows(std::size_t i,
 // Terminal side
 
 Tensor DistributedDecoder::prime(std::span<const TokenId> prompt) {
-  ensure_alive();
   if (prompt.empty()) {
     throw std::invalid_argument("DistributedDecoder: empty prompt");
   }
@@ -591,7 +474,6 @@ Tensor DistributedDecoder::prime(std::span<const TokenId> prompt) {
 
 DistributedDecoder::PrimedSlot DistributedDecoder::prime_slot(
     std::span<const TokenId> prompt) {
-  ensure_alive();
   if (prompt.empty()) {
     throw std::invalid_argument("DistributedDecoder: empty prompt");
   }
@@ -612,45 +494,39 @@ DistributedDecoder::PrimedSlot DistributedDecoder::prime_slot(
   // Embed before touching the mesh: a bad token id throws here without
   // poisoning anything.
   Tensor features = model_.preprocess(prompt);
-  obs::Tracer* const tracer = tracer_.load(std::memory_order_acquire);
-  const obs::ThreadTracerScope tracer_scope(tracer);
-  const obs::ThreadTrackScope track_scope(
-      static_cast<obs::TrackId>(terminal_id()));
   // One causal id per request: adopt the caller's (e.g. the server's
-  // per-request scope) or mint a fresh one. The command broadcast carries
-  // it to every worker.
+  // per-request scope) or mint a fresh one. The mesh hands it to every
+  // device.
   const obs::TraceIdScope trace_scope(obs::ensure_trace_id());
   const RecvOptions options = RecvOptions::within(recv_timeout_seconds_);
-  const std::uint64_t bytes_before = transport_->total_stats().bytes_sent;
-  obs::TraceSpan span(tracer, "decode.prefill", "serve",
+  Transport& transport = mesh_->transport();
+  const std::uint64_t bytes_before = transport.total_stats().bytes_sent;
+  obs::TraceSpan span(mesh_->tracer(), "decode.prefill", "serve",
                       static_cast<obs::TrackId>(terminal_id()));
   span.device(static_cast<std::int64_t>(terminal_id()))
       .request(static_cast<std::int64_t>(prompt.size()));
-  try {
+  Tensor logits(0, 0);
+  run([&] {
     Tensor cmd(1, kCmdCols);
     cmd(0, 0) = kOpPrime;
     cmd(0, 1) = static_cast<float>(prompt.size());
     cmd(0, 2) = precision_ == Precision::kInt8 ? 1.0F : 0.0F;
     cmd(0, 3) = static_cast<float>(recv_timeout_seconds_);
     cmd(0, 4) = static_cast<float>(slot);
-    broadcast(*transport_, everyone_, k, k, cmd, kTagCmd, options);
-    broadcast(*transport_, everyone_, k, k, features, kTagFeatures, options);
+    broadcast(transport, everyone_, k, k, cmd, kTagCmd, options);
+    broadcast(transport, everyone_, k, k, features, kTagFeatures, options);
     const Tensor last_row = tensor_from_payload(
-        transport_->recv_any(terminal_id(), kTagFinal, options).payload);
-    slots_[slot] = SlotMeta{.active = true,
-                            .position = prompt.size(),
-                            .prompt_len = prompt.size()};
-    span.bytes(
-        static_cast<std::int64_t>(transport_->total_stats().bytes_sent -
-                                  bytes_before));
-    return PrimedSlot{.slot = slot, .logits = model_.postprocess(last_row)};
-  } catch (...) {
-    fail_request();
-  }
+        transport.recv_any(terminal_id(), kTagFinal, options).payload);
+    logits = model_.postprocess(last_row);
+  });
+  slots_[slot] = SlotMeta{
+      .active = true, .position = prompt.size(), .prompt_len = prompt.size()};
+  span.bytes(static_cast<std::int64_t>(transport.total_stats().bytes_sent -
+                                       bytes_before));
+  return PrimedSlot{.slot = slot, .logits = std::move(logits)};
 }
 
 Tensor DistributedDecoder::step(TokenId token) {
-  ensure_alive();
   if (slots_.empty() || !slots_[0].active) {
     throw std::logic_error("DistributedDecoder: prime() before step()");
   }
@@ -660,7 +536,6 @@ Tensor DistributedDecoder::step(TokenId token) {
 
 DistributedDecoder::WindowRound DistributedDecoder::run_window_round(
     std::span<const WindowSpec> windows) {
-  ensure_alive();
   if (windows.empty()) {
     throw std::invalid_argument("DistributedDecoder: empty batch");
   }
@@ -707,102 +582,97 @@ DistributedDecoder::WindowRound DistributedDecoder::run_window_round(
       }
     }
   }
-  obs::Tracer* const tracer = tracer_.load(std::memory_order_acquire);
-  const obs::ThreadTracerScope tracer_scope(tracer);
-  const obs::ThreadTrackScope track_scope(
-      static_cast<obs::TrackId>(terminal_id()));
   const obs::TraceIdScope trace_scope(obs::ensure_trace_id());
   const RecvOptions options = RecvOptions::within(recv_timeout_seconds_);
-  const std::uint64_t bytes_before = transport_->total_stats().bytes_sent;
-  obs::TraceSpan span(tracer, "decode.step", "serve",
+  Transport& transport = mesh_->transport();
+  const std::uint64_t bytes_before = transport.total_stats().bytes_sent;
+  obs::TraceSpan span(mesh_->tracer(), "decode.step", "serve",
                       static_cast<obs::TrackId>(terminal_id()));
   span.device(static_cast<std::int64_t>(terminal_id()))
       .request(static_cast<std::int64_t>(slots_[windows[0].slot].position))
       .batch(static_cast<std::int64_t>(windows.size()));
-  try {
-    // fp32 step command with the embedded rows inlined: one broadcast
-    // carries both the per-row control words and the O(R*F) activation
-    // payload. The int8 plane keeps the command minimal and ships the rows
-    // as one quantized broadcast — R*F bytes plus R scales instead of 4RF.
-    // Either way the round's *message count* is that of a single-token
-    // step: the draft rows ride broadcasts and merges that happen anyway.
-    const bool int8 = precision_ == Precision::kInt8;
-    Tensor cmd(rows_total, int8 ? kCmdCols : kCmdCols + f);
-    {
-      std::size_t r = 0;
-      for (const WindowSpec& win : windows) {
-        for (std::size_t j = 0; j < win.tokens.size(); ++j, ++r) {
-          cmd(r, 0) = kOpStep;
-          cmd(r, 1) = static_cast<float>(slots_[win.slot].position + j);
-          cmd(r, 2) = int8 ? 1.0F : 0.0F;
-          cmd(r, 3) = static_cast<float>(recv_timeout_seconds_);
-          cmd(r, 4) = static_cast<float>(win.slot);
-          cmd(r, 5) = static_cast<float>(win.tokens[j]);
-          cmd(r, 6) = j < win.committed ? 1.0F : 0.0F;
-          if (!int8) {
-            std::copy_n(rows.row(r).data(), f, cmd.row(r).data() + kCmdCols);
-          }
+  // fp32 step command with the embedded rows inlined: one broadcast carries
+  // both the per-row control words and the O(R*F) activation payload. The
+  // int8 plane keeps the command minimal and ships the rows as one
+  // quantized broadcast — R*F bytes plus R scales instead of 4RF. Either
+  // way the round's *message count* is that of a single-token step: the
+  // draft rows ride broadcasts and merges that happen anyway.
+  const bool int8 = precision_ == Precision::kInt8;
+  Tensor cmd(rows_total, int8 ? kCmdCols : kCmdCols + f);
+  {
+    std::size_t r = 0;
+    for (const WindowSpec& win : windows) {
+      for (std::size_t j = 0; j < win.tokens.size(); ++j, ++r) {
+        cmd(r, 0) = kOpStep;
+        cmd(r, 1) = static_cast<float>(slots_[win.slot].position + j);
+        cmd(r, 2) = int8 ? 1.0F : 0.0F;
+        cmd(r, 3) = static_cast<float>(recv_timeout_seconds_);
+        cmd(r, 4) = static_cast<float>(win.slot);
+        cmd(r, 5) = static_cast<float>(win.tokens[j]);
+        cmd(r, 6) = j < win.committed ? 1.0F : 0.0F;
+        if (!int8) {
+          std::copy_n(rows.row(r).data(), f, cmd.row(r).data() + kCmdCols);
         }
       }
     }
-    broadcast(*transport_, everyone_, k, k, cmd, kTagCmd, options);
+  }
+  WindowRound round{.logits = Tensor(0, 0),
+                    .row_begin = std::move(row_begin),
+                    .accepted = std::vector<std::size_t>(windows.size(), 0)};
+  run([&] {
+    broadcast(transport, everyone_, k, k, cmd, kTagCmd, options);
     if (int8) {
-      broadcast(*transport_, everyone_, k, k, rows, kTagToken, options,
+      broadcast(transport, everyone_, k, k, rows, kTagToken, options,
                 Precision::kInt8);
     }
     const Tensor last_rows = tensor_from_payload(
-        transport_->recv(terminal_id(), DeviceId{0}, kTagFinal, options)
+        transport.recv(terminal_id(), DeviceId{0}, kTagFinal, options)
             .payload);
     if (last_rows.rows() != rows_total) {
       throw std::runtime_error("DistributedDecoder: malformed final rows");
     }
-    WindowRound round{.logits = model_.postprocess_rows(last_rows),
-                      .row_begin = std::move(row_begin),
-                      .accepted = std::vector<std::size_t>(windows.size(), 0)};
-    // Greedy longest-prefix acceptance — the same pass every worker runs on
-    // the identical final rows (postprocess_rows is row-independent), so
-    // terminal and workers agree on the commit frontier without another
-    // round-trip.
-    std::size_t committed_total = 0;
-    std::size_t drafts_total = 0;
-    std::size_t accepted_total = 0;
-    for (std::size_t w = 0; w < windows.size(); ++w) {
-      const WindowSpec& win = windows[w];
-      const std::size_t drafts = win.tokens.size() - win.committed;
-      std::size_t accepted = 0;
-      while (accepted < drafts) {
-        const std::size_t logits_row =
-            round.row_begin[w] + win.committed - 1 + accepted;
-        const TokenId draft = win.tokens[win.committed + accepted];
-        if (static_cast<TokenId>(argmax_row(round.logits, logits_row)) !=
-            draft) {
-          break;
-        }
-        ++accepted;
+    // The LM head runs while the devices finish their acceptance pass.
+    round.logits = model_.postprocess_rows(last_rows);
+  });
+  // Greedy longest-prefix acceptance — the same pass every worker runs on
+  // the identical final rows (postprocess_rows is row-independent), so
+  // terminal and workers agree on the commit frontier without another
+  // round-trip.
+  std::size_t committed_total = 0;
+  std::size_t drafts_total = 0;
+  std::size_t accepted_total = 0;
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const WindowSpec& win = windows[w];
+    const std::size_t drafts = win.tokens.size() - win.committed;
+    std::size_t accepted = 0;
+    while (accepted < drafts) {
+      const std::size_t logits_row =
+          round.row_begin[w] + win.committed - 1 + accepted;
+      const TokenId draft = win.tokens[win.committed + accepted];
+      if (static_cast<TokenId>(argmax_row(round.logits, logits_row)) !=
+          draft) {
+        break;
       }
-      round.accepted[w] = accepted;
-      slots_[win.slot].position += win.committed + accepted;
-      committed_total += win.committed + accepted;
-      drafts_total += drafts;
-      accepted_total += accepted;
+      ++accepted;
     }
-    if (decode_tokens_ != nullptr) {
-      decode_tokens_->add(static_cast<std::uint64_t>(committed_total));
-    }
-    span.tokens(static_cast<std::int64_t>(committed_total))
-        .drafts(static_cast<std::int64_t>(drafts_total))
-        .accepted(static_cast<std::int64_t>(accepted_total))
-        .bytes(
-            static_cast<std::int64_t>(transport_->total_stats().bytes_sent -
-                                      bytes_before));
-    return round;
-  } catch (...) {
-    fail_request();
+    round.accepted[w] = accepted;
+    slots_[win.slot].position += win.committed + accepted;
+    committed_total += win.committed + accepted;
+    drafts_total += drafts;
+    accepted_total += accepted;
   }
+  if (decode_tokens_ != nullptr) {
+    decode_tokens_->add(static_cast<std::uint64_t>(committed_total));
+  }
+  span.tokens(static_cast<std::int64_t>(committed_total))
+      .drafts(static_cast<std::int64_t>(drafts_total))
+      .accepted(static_cast<std::int64_t>(accepted_total))
+      .bytes(static_cast<std::int64_t>(transport.total_stats().bytes_sent -
+                                       bytes_before));
+  return round;
 }
 
 Tensor DistributedDecoder::step_batch(std::span<const SlotToken> batch) {
-  ensure_alive();
   if (batch.empty()) {
     throw std::invalid_argument("DistributedDecoder: empty batch");
   }
@@ -820,7 +690,6 @@ Tensor DistributedDecoder::step_batch(std::span<const SlotToken> batch) {
 
 std::vector<LaneCommit> DistributedDecoder::step_speculative(
     std::span<const SlotWindow> lanes) {
-  ensure_alive();
   if (lanes.empty()) {
     throw std::invalid_argument("DistributedDecoder: empty batch");
   }
@@ -868,31 +737,23 @@ std::vector<LaneCommit> DistributedDecoder::step_speculative(
 }
 
 void DistributedDecoder::release_slot(SlotId slot) {
-  ensure_alive();
   if (!slot_active(slot)) {
     throw std::out_of_range("DistributedDecoder: inactive slot");
   }
-  obs::Tracer* const tracer = tracer_.load(std::memory_order_acquire);
-  const obs::ThreadTracerScope tracer_scope(tracer);
-  const obs::ThreadTrackScope track_scope(
-      static_cast<obs::TrackId>(terminal_id()));
   const obs::TraceIdScope trace_scope(obs::ensure_trace_id());
-  try {
+  run([&] {
     Tensor cmd(1, kCmdCols);
     cmd(0, 0) = kOpRelease;
     cmd(0, 2) = precision_ == Precision::kInt8 ? 1.0F : 0.0F;
     cmd(0, 3) = static_cast<float>(recv_timeout_seconds_);
     cmd(0, 4) = static_cast<float>(slot);
     const std::size_t k = scheme_.devices();
-    broadcast(*transport_, everyone_, k, k, cmd, kTagCmd);
-    slots_[slot] = SlotMeta{};
-  } catch (...) {
-    fail_request();
-  }
+    broadcast(mesh_->transport(), everyone_, k, k, cmd, kTagCmd);
+  });
+  slots_[slot] = SlotMeta{};
 }
 
 Tensor DistributedDecoder::extend(std::span<const TokenId> tokens) {
-  ensure_alive();
   if (tokens.empty()) {
     throw std::invalid_argument("DistributedDecoder: empty extension");
   }

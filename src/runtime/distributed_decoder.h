@@ -39,19 +39,20 @@
 // token-identical to sequential greedy decode (DESIGN.md "Speculative
 // decoding").
 //
-// Device k = persistent worker thread k (spawned once at construction; the
-// caches live on them across calls); the calling thread is the terminal
-// device K, running embedding and the LM head. New decode positions are
+// Device k = persistent worker k of a Mesh (runtime/mesh.h); device k's
+// caches live in its per-device state across calls. The calling thread is
+// the terminal device K, running embedding and the LM head. Each call is
+// one mesh run: the terminal broadcasts one wire command and every device
+// dispatches it (prefill, step or release). New decode positions are
 // assigned round-robin per slot so cache growth stays balanced. Failure
-// containment follows the runtimes: first failing thread poisons the
-// transport, the terminal joins everyone and rethrows the root cause; the
-// decoder (and every slot on it) is dead afterwards — build a new one.
+// containment is the mesh's: the first failing part poisons the transport
+// and the call rethrows the root cause; the decoder (and every slot on it)
+// is dead afterwards, and every later call throws std::logic_error — build
+// a new one.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "net/quant_codec.h"
@@ -63,6 +64,7 @@
 #include "partition/order.h"
 #include "partition/scheme.h"
 #include "quant/quantized_stack.h"
+#include "runtime/mesh.h"
 #include "transformer/model.h"
 
 namespace voltage {
@@ -107,8 +109,12 @@ class DistributedDecoder {
   DistributedDecoder(const TransformerModel& model, PartitionScheme scheme,
                      OrderPolicy policy, std::unique_ptr<Transport> transport);
 
-  // Shuts the workers down (or just joins them if the mesh is poisoned).
-  ~DistributedDecoder();
+  // Decodes on a mesh shared with other runtimes (e.g. a server's
+  // VoltageRuntime); the mesh must have scheme-many devices. Tracer,
+  // telemetry and the intra-op budget are the mesh's, so they are shared
+  // too.
+  DistributedDecoder(const TransformerModel& model, PartitionScheme scheme,
+                     OrderPolicy policy, std::shared_ptr<Mesh> mesh);
 
   DistributedDecoder(const DistributedDecoder&) = delete;
   DistributedDecoder& operator=(const DistributedDecoder&) = delete;
@@ -188,7 +194,7 @@ class DistributedDecoder {
   // Byte-accurate traffic since construction (worker ids 0..K-1, terminal
   // id K).
   [[nodiscard]] const Transport& fabric() const noexcept {
-    return *transport_;
+    return mesh_->transport();
   }
   [[nodiscard]] DeviceId terminal_id() const noexcept {
     return scheme_.devices();
@@ -200,57 +206,48 @@ class DistributedDecoder {
   // Attaches a span tracer (nullptr detaches). The terminal emits
   // "decode.prefill" / "decode.step" spans carrying the token index, the
   // batch size and the step's total wire bytes; workers emit per-layer
-  // compute and softmax-merge comm spans on their own tracks, plus a
-  // "wait_command" span covering each idle wait. Because that wait span
-  // closes when the shutdown command arrives, an attached tracer must
-  // outlive the decoder object itself, not just the last request — declare
-  // the tracer first.
-  //
-  // Flow-graph closure caveat: prime()/step() return on the terminal's
-  // critical path, while workers off that path may still be draining their
-  // last collective receives. Every arrow of a request is only guaranteed
-  // matched on the trace once the decoder has been destroyed (or served a
-  // later command) — export after teardown if you intend to --validate.
-  void set_tracer(obs::Tracer* tracer);
+  // compute and softmax-merge comm spans on their own tracks. Every call
+  // returns only after every device has returned, so a trace exported
+  // right after a call has a closed flow graph.
+  void set_tracer(obs::Tracer* tracer) { mesh_->set_tracer(tracer); }
 
   // Attaches transport.* counters plus the "decode.tokens" counter.
   void set_metrics(obs::MetricsRegistry* metrics);
 
-  // Attaches the live telemetry hub (nullptr detaches). Workers report the
-  // time spent serving each command (prefill or step, including collective
-  // waits) so the hub can expose per-device utilization; idle waiting
-  // between commands does not count as busy.
+  // Attaches the live telemetry hub (nullptr detaches). Devices report the
+  // time spent serving each call (prefill or step, including collective
+  // waits) so the hub can expose per-device utilization; idle time between
+  // calls does not count as busy.
   void set_telemetry(obs::TelemetryHub* telemetry) noexcept {
-    telemetry_.store(telemetry, std::memory_order_release);
+    mesh_->set_telemetry(telemetry);
   }
 
   // Attaches the crash-dump flight recorder to the transport (see
   // Transport::set_flight_recorder).
   void set_flight_recorder(obs::FlightRecorder* recorder) {
-    transport_->set_flight_recorder(recorder);
+    mesh_->transport().set_flight_recorder(recorder);
   }
 
   // Per-request receive budget in seconds (default 0: wait forever),
-  // threaded through every blocking receive of a prime/step — idle workers
-  // always wait without a deadline, so a decoder may sit unused forever.
+  // threaded through every blocking receive of a prime/step.
   void set_recv_timeout(double seconds) noexcept {
     recv_timeout_seconds_ = seconds;
   }
 
-  // Caps each worker's KvBlockPool at `blocks` blocks (0 = unbounded;
-  // default). Effective from the pool's creation at the worker's first
+  // Caps each device's KvBlockPool at `blocks` blocks (0 = unbounded;
+  // default). Effective from the pool's creation at the device's first
   // prefill, so set it before the first prime. A device that runs out of
   // blocks fails its command with std::length_error and poisons the mesh
   // like any other device failure — size the cap (or the admission policy
   // above) so steady-state serving never hits it.
   void set_kv_block_limit(std::size_t blocks) noexcept {
-    kv_block_limit_.store(blocks, std::memory_order_relaxed);
+    kv_block_limit_ = blocks;
   }
 
-  // Intra-op thread budget for each worker's kernels (default 1; see
+  // Intra-op thread budget for each device's kernels (default 1; see
   // VoltageRuntime::set_intra_op_threads — bitwise-neutral).
   void set_intra_op_threads(std::size_t n) noexcept {
-    intra_op_threads_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
+    mesh_->set_intra_op_threads(n);
   }
 
   // Precision::kInt8 switches the hot paths to the quantized plane: prefill
@@ -283,6 +280,17 @@ class DistributedDecoder {
     std::vector<DecodeLayerCache> caches;
   };
 
+  // Everything one device keeps across calls. Only that device's part
+  // touches it.
+  struct DeviceState {
+    // One KV arena per device, shared by every (slot, layer) cache: a
+    // released sequence's blocks are immediately reusable by the next one.
+    // Created at the first prefill so set_kv_block_limit can run after
+    // construction.
+    std::unique_ptr<KvBlockPool> pool;
+    std::vector<WorkerSlot> slots;
+  };
+
   // One verify/step round as the terminal sees it: window w commits the
   // first `committed` of its tokens unconditionally and verifies the rest
   // as drafts. step_batch, extend and step_speculative are all this round
@@ -300,7 +308,9 @@ class DistributedDecoder {
   [[nodiscard]] WindowRound run_window_round(
       std::span<const WindowSpec> windows);
 
-  void worker_main(std::size_t i);
+  // The device part of every call: receives the command broadcast and
+  // dispatches it.
+  void serve_command(std::size_t i);
   void worker_prefill(std::size_t i, std::size_t n,
                       std::vector<DecodeLayerCache>& caches,
                       KvBlockPool* pool, const RecvOptions& options,
@@ -309,36 +319,28 @@ class DistributedDecoder {
                            const Tensor& cmd, const RecvOptions& options,
                            obs::Tracer* tracer, Precision wire);
 
-  void ensure_alive() const;
-  void join_workers() noexcept;
-  // Terminal failure path: poison, join, report the root cause. Never
-  // returns normally; the decoder is dead afterwards.
-  [[noreturn]] void fail_request();
+  // Runs one call on the mesh: every device serves the command the
+  // terminal part broadcasts.
+  void run(const Mesh::TerminalPart& terminal_part);
 
   const TransformerModel& model_;
   PartitionScheme scheme_;
   OrderPolicy policy_;
-  std::unique_ptr<Transport> transport_;
+  std::shared_ptr<Mesh> mesh_;
   std::vector<DeviceId> everyone_;  // workers + terminal (broadcast group)
   std::vector<DeviceId> workers_;   // merge group
 
-  std::atomic<obs::Tracer*> tracer_{nullptr};
-  std::atomic<obs::TelemetryHub*> telemetry_{nullptr};
   obs::Counter* decode_tokens_ = nullptr;
-  std::atomic<std::size_t> intra_op_threads_{1};
-  std::atomic<std::size_t> kv_block_limit_{0};  // 0 = unbounded
-  double recv_timeout_seconds_ = 0.0;           // <= 0: no deadline
+  std::size_t kv_block_limit_ = 0;     // 0 = unbounded
+  double recv_timeout_seconds_ = 0.0;  // <= 0: no deadline
   Precision precision_ = Precision::kFp32;
-  // Built lazily by set_precision(kInt8); workers read it while serving an
+  // Built lazily by set_precision(kInt8); devices read it while serving an
   // int8-flagged command, which happens-after the terminal set it (the
-  // command broadcast's mailbox handoff orders the accesses).
+  // mesh handoff orders the accesses).
   std::unique_ptr<QuantizedStack> qstack_;
 
-  std::vector<SlotMeta> slots_;  // terminal's view, indexed by SlotId
-  bool dead_ = false;
-
-  std::vector<std::exception_ptr> errors_;  // one slot per worker
-  std::vector<std::thread> threads_;
+  std::vector<SlotMeta> slots_;       // terminal's view, indexed by SlotId
+  std::vector<DeviceState> devices_;  // indexed by device
 };
 
 }  // namespace voltage

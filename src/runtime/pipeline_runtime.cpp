@@ -1,11 +1,7 @@
 #include "runtime/pipeline_runtime.h"
 
-#include <exception>
 #include <stdexcept>
-#include <thread>
 
-#include "core/thread_pool.h"
-#include "runtime/failure.h"
 #include "tensor/serialize.h"
 
 namespace voltage {
@@ -25,7 +21,7 @@ PipelineRuntime::PipelineRuntime(const TransformerModel& model,
 PipelineRuntime::PipelineRuntime(const TransformerModel& model,
                                  std::size_t devices,
                                  std::unique_ptr<Transport> transport)
-    : model_(model), devices_(devices), transport_(std::move(transport)) {
+    : model_(model), devices_(devices), mesh_(std::move(transport)) {
   if (devices == 0) {
     throw std::invalid_argument("PipelineRuntime: zero devices");
   }
@@ -33,7 +29,7 @@ PipelineRuntime::PipelineRuntime(const TransformerModel& model,
     throw std::invalid_argument(
         "PipelineRuntime: more stages than transformer layers");
   }
-  if (transport_->devices() != devices + 1) {
+  if (mesh_.devices() != devices) {
     throw std::invalid_argument(
         "PipelineRuntime: transport must have one endpoint per stage plus "
         "the terminal");
@@ -47,13 +43,12 @@ Range PipelineRuntime::stage_layers(std::size_t stage) const {
 }
 
 void PipelineRuntime::set_tracer(obs::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ == nullptr) return;
+  mesh_.set_tracer(tracer);
+  if (tracer == nullptr) return;
   for (std::size_t i = 0; i < devices_; ++i) {
-    tracer_->set_track_name(static_cast<obs::TrackId>(i),
-                            "stage " + std::to_string(i));
+    tracer->set_track_name(static_cast<obs::TrackId>(i),
+                           "stage " + std::to_string(i));
   }
-  tracer_->set_track_name(static_cast<obs::TrackId>(devices_), "terminal");
 }
 
 std::vector<Tensor> PipelineRuntime::infer_batch(
@@ -62,72 +57,51 @@ std::vector<Tensor> PipelineRuntime::infer_batch(
   const DeviceId terminal = k;
   const auto layers = model_.layers();
 
-  std::vector<std::exception_ptr> errors(k);
-  std::vector<std::thread> threads;
-  threads.reserve(k);
-  for (std::size_t stage = 0; stage < k; ++stage) {
-    threads.emplace_back([&, stage] {
-      const obs::ThreadTracerScope tracer_scope(tracer_);
-      const obs::ThreadTrackScope track_scope(
-          static_cast<obs::TrackId>(stage));
-      // Stages are the parallelism; keep each stage's kernels
-      // single-threaded so K stages don't oversubscribe the host.
-      const IntraOpScope intra_scope(1);
-      try {
-        const Range mine = stage_layers(stage);
-        const DeviceId upstream = stage == 0 ? terminal : stage - 1;
-        const DeviceId downstream = stage + 1 == k ? terminal : stage + 1;
-        for (std::size_t r = 0; r < requests.size(); ++r) {
-          const MessageTag tag = kTagRequestBase + r;
-          Tensor x(0, 0);
-          {
-            // Receiving adopts the request's trace id, so the stage span
-            // below and the downstream send share it.
-            obs::TraceSpan span(tracer_, "recv_activation", "comm",
-                                static_cast<obs::TrackId>(stage));
-            span.device(static_cast<std::int64_t>(stage))
-                .request(static_cast<std::int64_t>(r));
-            x = tensor_from_payload(
-                transport_->recv(stage, upstream, tag).payload);
-          }
-          {
-            obs::TraceSpan span(tracer_, "stage", "compute",
-                                static_cast<obs::TrackId>(stage));
-            span.device(static_cast<std::int64_t>(stage))
-                .request(static_cast<std::int64_t>(r));
-            for (std::size_t l = mine.begin; l < mine.end; ++l) {
-              x = layers[l].forward(x);
-            }
-          }
-          Payload payload = to_bytes(x);
-          obs::TraceSpan span(tracer_, "send_activation", "comm",
-                              static_cast<obs::TrackId>(stage));
-          span.device(static_cast<std::int64_t>(stage))
-              .request(static_cast<std::int64_t>(r))
-              .bytes(static_cast<std::int64_t>(payload.size()));
-          transport_->send(Message{.source = stage,
-                                   .destination = downstream,
-                                   .tag = tag,
-                                   .payload = std::move(payload)});
-        }
-      } catch (...) {
-        errors[stage] = std::current_exception();
-        // Poison the fabric: upstream/downstream stages and the terminal
-        // block on this stage's sends, so a dead stage must unwedge them.
-        detail::poison(*transport_, "stage " + std::to_string(stage),
-                       errors[stage]);
+  Transport& transport = mesh_.transport();
+  obs::Tracer* const tracer = mesh_.tracer();
+
+  const auto device_part = [&](std::size_t stage) {
+    const Range mine = stage_layers(stage);
+    const DeviceId upstream = stage == 0 ? terminal : stage - 1;
+    const DeviceId downstream = stage + 1 == k ? terminal : stage + 1;
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+      const MessageTag tag = kTagRequestBase + r;
+      Tensor x(0, 0);
+      {
+        // Receiving adopts the request's trace id, so the stage span
+        // below and the downstream send share it.
+        obs::TraceSpan span(tracer, "recv_activation", "comm",
+                            static_cast<obs::TrackId>(stage));
+        span.device(static_cast<std::int64_t>(stage))
+            .request(static_cast<std::int64_t>(r));
+        x = tensor_from_payload(transport.recv(stage, upstream, tag).payload);
       }
-    });
-  }
+      {
+        obs::TraceSpan span(tracer, "stage", "compute",
+                            static_cast<obs::TrackId>(stage));
+        span.device(static_cast<std::int64_t>(stage))
+            .request(static_cast<std::int64_t>(r));
+        for (std::size_t l = mine.begin; l < mine.end; ++l) {
+          x = layers[l].forward(x);
+        }
+      }
+      Payload payload = to_bytes(x);
+      obs::TraceSpan span(tracer, "send_activation", "comm",
+                          static_cast<obs::TrackId>(stage));
+      span.device(static_cast<std::int64_t>(stage))
+          .request(static_cast<std::int64_t>(r))
+          .bytes(static_cast<std::int64_t>(payload.size()));
+      transport.send(Message{.source = stage,
+                             .destination = downstream,
+                             .tag = tag,
+                             .payload = std::move(payload)});
+    }
+  };
 
   // Terminal: pre-process and inject every request, then collect results
   // in order. Injection does not wait for completions, so the stages fill.
-  const obs::ThreadTracerScope tracer_scope(tracer_);
-  const obs::ThreadTrackScope track_scope(
-      static_cast<obs::TrackId>(terminal));
   std::vector<Tensor> results(requests.size());
-  std::exception_ptr terminal_error;
-  try {
+  const auto terminal_part = [&] {
     for (std::size_t r = 0; r < requests.size(); ++r) {
       // One trace id per injected request (or the caller's ambient id for
       // all of them, e.g. under a server's per-request scope): the stages
@@ -145,35 +119,31 @@ std::vector<Tensor> PipelineRuntime::infer_batch(
           },
           requests[r]);
       Payload payload = to_bytes(features);
-      obs::TraceSpan span(tracer_, "send_activation", "comm",
+      obs::TraceSpan span(tracer, "send_activation", "comm",
                           static_cast<obs::TrackId>(terminal));
       span.device(static_cast<std::int64_t>(terminal))
           .request(static_cast<std::int64_t>(r))
           .bytes(static_cast<std::int64_t>(payload.size()));
-      transport_->send(Message{.source = terminal,
-                               .destination = 0,
-                               .tag = kTagRequestBase + r,
-                               .payload = std::move(payload)});
+      transport.send(Message{.source = terminal,
+                             .destination = 0,
+                             .tag = kTagRequestBase + r,
+                             .payload = std::move(payload)});
     }
     for (std::size_t r = 0; r < requests.size(); ++r) {
       Tensor hidden(0, 0);
       {
-        obs::TraceSpan span(tracer_, "collect_final", "comm",
+        obs::TraceSpan span(tracer, "collect_final", "comm",
                             static_cast<obs::TrackId>(terminal));
         span.device(static_cast<std::int64_t>(terminal))
             .request(static_cast<std::int64_t>(r));
         hidden = tensor_from_payload(
-            transport_->recv(terminal, k - 1, kTagRequestBase + r).payload);
+            transport.recv(terminal, k - 1, kTagRequestBase + r).payload);
       }
       results[r] = model_.postprocess(hidden);
     }
-  } catch (...) {
-    terminal_error = std::current_exception();
-    detail::poison(*transport_, "terminal", terminal_error);
-  }
+  };
 
-  for (std::thread& t : threads) t.join();
-  detail::rethrow_failure(errors, terminal_error);
+  mesh_.run(device_part, terminal_part);
   return results;
 }
 

@@ -2,7 +2,7 @@
 // the paper discusses in §V-C, executed over the transport rather than just
 // modeled.
 //
-// Layers are split into K contiguous stages, one device (thread) per stage;
+// Layers are split into K contiguous stages, one mesh device per stage;
 // activations flow stage to stage tagged by request index, so a stream of
 // requests overlaps naturally: stage 0 works on request r+1 while stage 1
 // handles request r. A single request still traverses every layer
@@ -18,6 +18,7 @@
 #include "net/transport.h"
 #include "obs/trace.h"
 #include "partition/range.h"
+#include "runtime/mesh.h"
 #include "transformer/model.h"
 
 namespace voltage {
@@ -46,7 +47,7 @@ class PipelineRuntime {
   [[nodiscard]] Tensor infer(const Image& image);
 
   [[nodiscard]] const Transport& fabric() const noexcept {
-    return *transport_;
+    return mesh_.transport();
   }
   // Layer range owned by `stage` (exposed for tests).
   [[nodiscard]] Range stage_layers(std::size_t stage) const;
@@ -56,18 +57,17 @@ class PipelineRuntime {
   // every request carries its own trace id end to end, so overlapping
   // requests render as distinct causal chains through the pipeline.
   void set_tracer(obs::Tracer* tracer);
-  [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
+  [[nodiscard]] obs::Tracer* tracer() const noexcept { return mesh_.tracer(); }
 
   // Attaches transport.* counters (see Transport::set_metrics).
   void set_metrics(obs::MetricsRegistry* metrics) {
-    transport_->set_metrics(metrics);
+    mesh_.transport().set_metrics(metrics);
   }
 
  private:
   const TransformerModel& model_;
   std::size_t devices_;
-  std::unique_ptr<Transport> transport_;
-  obs::Tracer* tracer_ = nullptr;  // non-owning; nullptr = tracing off
+  Mesh mesh_;
 };
 
 }  // namespace voltage

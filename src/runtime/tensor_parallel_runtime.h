@@ -15,6 +15,7 @@
 #include "net/transport.h"
 #include "obs/trace.h"
 #include "partition/range.h"
+#include "runtime/mesh.h"
 #include "transformer/model.h"
 
 namespace voltage {
@@ -38,7 +39,7 @@ class TensorParallelRuntime {
   [[nodiscard]] Tensor infer(const Image& image);
 
   [[nodiscard]] const Transport& fabric() const noexcept {
-    return *transport_;
+    return mesh_.transport();
   }
   [[nodiscard]] DeviceId terminal_id() const noexcept { return devices_; }
 
@@ -50,12 +51,12 @@ class TensorParallelRuntime {
   // "layer" compute spans and the ring/star all-reduce comm spans; every
   // run shares one trace id, so the baseline renders causally connected
   // just like VoltageRuntime.
-  void set_tracer(obs::Tracer* tracer);
-  [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
+  void set_tracer(obs::Tracer* tracer) { mesh_.set_tracer(tracer); }
+  [[nodiscard]] obs::Tracer* tracer() const noexcept { return mesh_.tracer(); }
 
   // Attaches transport.* counters (see Transport::set_metrics).
   void set_metrics(obs::MetricsRegistry* metrics) {
-    transport_->set_metrics(metrics);
+    mesh_.transport().set_metrics(metrics);
   }
 
  private:
@@ -64,8 +65,7 @@ class TensorParallelRuntime {
   const TransformerModel& model_;
   std::size_t devices_;
   bool star_allreduce_;
-  std::unique_ptr<Transport> transport_;
-  obs::Tracer* tracer_ = nullptr;  // non-owning; nullptr = tracing off
+  Mesh mesh_;
 };
 
 }  // namespace voltage

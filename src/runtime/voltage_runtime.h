@@ -1,7 +1,8 @@
 // Real (threaded) execution of distributed inference — paper Algorithm 2.
 //
-// Device k = worker thread k; the calling thread acts as the terminal
-// device. All intermediate results travel serialized through the Fabric, so
+// Device k = persistent worker k of a Mesh (runtime/mesh.h); the calling
+// thread acts as the terminal device. All intermediate results travel
+// serialized through the mesh's transport, so
 // the traffic counters measure true wire volume. Weights are conceptually
 // replicated on every device (the paper's deployment); in-process we share
 // the one read-only model.
@@ -20,6 +21,7 @@
 #include "partition/schedule.h"
 #include "partition/scheme.h"
 #include "quant/quantized_stack.h"
+#include "runtime/mesh.h"
 #include "transformer/model.h"
 
 namespace voltage {
@@ -53,6 +55,12 @@ class VoltageRuntime {
   VoltageRuntime(const TransformerModel& model, LayerSchedule schedule,
                  OrderPolicy policy, std::unique_ptr<Transport> transport);
 
+  // Runs on a mesh shared with other runtimes (e.g. a server's decoder);
+  // the mesh must have schedule-many devices. Tracer, telemetry and the
+  // intra-op budget are the mesh's, so they are shared too.
+  VoltageRuntime(const TransformerModel& model, LayerSchedule schedule,
+                 OrderPolicy policy, std::shared_ptr<Mesh> mesh);
+
   // End-to-end distributed inference; returns the task logits.
   [[nodiscard]] Tensor infer(std::span<const TokenId> tokens);
   [[nodiscard]] Tensor infer(const Image& image);
@@ -60,7 +68,7 @@ class VoltageRuntime {
   // Byte-accurate traffic since construction (worker ids 0..K-1, terminal
   // id K).
   [[nodiscard]] const Transport& fabric() const noexcept {
-    return *transport_;
+    return mesh_->transport();
   }
   [[nodiscard]] DeviceId terminal_id() const noexcept {
     return schedule_.devices();
@@ -81,26 +89,28 @@ class VoltageRuntime {
   // all-gather/broadcast/final-send communication spans with byte counts.
   // When detached, instrumentation is a null-pointer check per site: no
   // clock reads, no allocation, no locking.
-  void set_tracer(obs::Tracer* tracer);
-  [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
+  void set_tracer(obs::Tracer* tracer) { mesh_->set_tracer(tracer); }
+  [[nodiscard]] obs::Tracer* tracer() const noexcept {
+    return mesh_->tracer();
+  }
 
   // Attaches transport.* counters (see Transport::set_metrics).
   void set_metrics(obs::MetricsRegistry* metrics) {
-    transport_->set_metrics(metrics);
+    mesh_->transport().set_metrics(metrics);
   }
 
   // Attaches the live telemetry hub (nullptr detaches). When attached,
-  // every run reports each device thread's busy time so the hub can expose
+  // every run reports each device's busy time so the hub can expose
   // windowed per-device utilization.
   void set_telemetry(obs::TelemetryHub* telemetry) noexcept {
-    telemetry_ = telemetry;
+    mesh_->set_telemetry(telemetry);
   }
 
   // Attaches the crash-dump flight recorder to the transport (see
   // Transport::set_flight_recorder): the last wire events are dumped
   // automatically when the transport is poisoned/closed.
   void set_flight_recorder(obs::FlightRecorder* recorder) {
-    transport_->set_flight_recorder(recorder);
+    mesh_->transport().set_flight_recorder(recorder);
   }
 
   // Comm/compute overlap (default on): while a layer's all-gather is in
@@ -117,8 +127,8 @@ class VoltageRuntime {
   // set, every blocking receive of a run — broadcast, layer gathers, the
   // terminal's final collect — shares one absolute deadline computed at
   // infer() entry, so a wedged-but-alive peer surfaces as RecvTimeoutError
-  // within the budget instead of hanging the mesh. The timing-out thread
-  // poisons the transport, so every other thread unwinds too.
+  // within the budget instead of hanging the mesh. The timing-out part
+  // poisons the transport, so every other part unwinds too.
   void set_recv_timeout(double seconds) noexcept {
     recv_timeout_seconds_ = seconds;
   }
@@ -142,16 +152,16 @@ class VoltageRuntime {
   void set_precision(Precision precision);
   [[nodiscard]] Precision precision() const noexcept { return precision_; }
 
-  // Intra-op thread budget for each device thread's kernels (default 1:
-  // device threads already are the parallelism, and K devices times a
-  // many-way GEMM split would oversubscribe the host). Raising it lets a
-  // device use `n` pool threads per GEMM / attention op — results are
-  // bitwise identical at any value. 0 is clamped to 1.
+  // Intra-op thread budget for each device's kernels (default 1: the
+  // devices already are the parallelism, and K devices times a many-way
+  // GEMM split would oversubscribe the host). Raising it lets a device use
+  // `n` pool threads per GEMM / attention op — results are bitwise
+  // identical at any value. 0 is clamped to 1.
   void set_intra_op_threads(std::size_t n) noexcept {
-    intra_op_threads_ = n == 0 ? 1 : n;
+    mesh_->set_intra_op_threads(n);
   }
   [[nodiscard]] std::size_t intra_op_threads() const noexcept {
-    return intra_op_threads_;
+    return mesh_->intra_op_threads();
   }
 
  private:
@@ -163,10 +173,7 @@ class VoltageRuntime {
   PartitionExecutor executor_;  // empty = default float path
   Precision precision_ = Precision::kFp32;
   std::unique_ptr<QuantizedStack> qstack_;  // built by set_precision(kInt8)
-  std::unique_ptr<Transport> transport_;
-  obs::Tracer* tracer_ = nullptr;  // non-owning; nullptr = tracing off
-  obs::TelemetryHub* telemetry_ = nullptr;  // non-owning; nullptr = off
-  std::size_t intra_op_threads_ = 1;
+  std::shared_ptr<Mesh> mesh_;
   double recv_timeout_seconds_ = 0.0;  // <= 0: no deadline
   bool overlap_ = true;
 };

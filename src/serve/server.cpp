@@ -33,17 +33,29 @@ LatencyStats summarize(std::vector<Seconds> samples) {
   return stats;
 }
 
+// Removes and returns, in order, the items matching `pred`.
+template <typename T, typename Pred>
+std::vector<T> take_if(std::vector<T>& items, Pred pred) {
+  std::vector<T> taken;
+  std::vector<T> kept;
+  for (T& item : items) {
+    (pred(item) ? taken : kept).push_back(std::move(item));
+  }
+  items = std::move(kept);
+  return taken;
+}
+
 }  // namespace
 
 InferenceServer::InferenceServer(const TransformerModel& model,
                                  Options options)
     : model_(model),
       options_(std::move(options)),
-      runtime_(make_runtime()),
       tracer_(options_.tracer),
       metrics_(options_.metrics),
       telemetry_(options_.telemetry),
       flight_recorder_(options_.flight_recorder) {
+  build_mesh();
   if (tracer_ != nullptr) {
     tracer_->set_track_name(obs::kServeTrack, "server");
   }
@@ -58,7 +70,7 @@ InferenceServer::InferenceServer(const TransformerModel& model,
     });
     if (metrics_ != nullptr) {
       // Wire volume comes from the metrics counter rather than the live
-      // transport: the dispatcher swaps runtimes after poisoning, and the
+      // transport: the dispatcher swaps meshes after poisoning, and the
       // counter survives (and sums across) those swaps.
       obs::MetricsRegistry* const metrics = metrics_;
       telemetry_->register_rate("wire_bytes", [metrics] {
@@ -85,68 +97,63 @@ InferenceServer::InferenceServer(const TransformerModel& model,
   dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
 
-std::unique_ptr<VoltageRuntime> InferenceServer::make_runtime() const {
-  auto runtime = std::make_unique<VoltageRuntime>(
-      model_, options_.scheme, options_.policy, options_.transport);
-  std::size_t per_device = options_.device_intra_op_threads;
-  if (per_device == 0) {
-    per_device = std::max<std::size_t>(
-        1, intra_op_threads() / (runtime->terminal_id() + 1));
-  }
-  runtime->set_intra_op_threads(per_device);
-  runtime->set_precision(options_.precision);
-  runtime->set_recv_timeout(options_.request_deadline);
-  runtime->set_tracer(options_.tracer);
-  if (options_.metrics != nullptr) runtime->set_metrics(options_.metrics);
-  runtime->set_telemetry(options_.telemetry);
-  runtime->set_flight_recorder(options_.flight_recorder);
-  return runtime;
-}
-
-std::unique_ptr<DistributedDecoder> InferenceServer::make_decoder() const {
+void InferenceServer::build_mesh() {
+  // Release the old mesh (joining its workers, closing its sockets) before
+  // the new one opens its own.
+  decoder_.reset();
+  runtime_.reset();
+  mesh_.reset();
   const std::size_t endpoints = options_.scheme.devices() + 1;
-  std::unique_ptr<Transport> fabric =
-      options_.decoder_transport_factory
-          ? options_.decoder_transport_factory(endpoints)
-          : make_transport(options_.transport, endpoints);
-  auto decoder = std::make_unique<DistributedDecoder>(
-      model_, options_.scheme, options_.policy, std::move(fabric));
+  mesh_ = std::make_shared<Mesh>(
+      options_.transport_factory
+          ? options_.transport_factory(endpoints)
+          : make_transport(options_.transport, endpoints));
   std::size_t per_device = options_.device_intra_op_threads;
   if (per_device == 0) {
-    per_device = std::max<std::size_t>(
-        1, intra_op_threads() / (decoder->terminal_id() + 1));
+    per_device = std::max<std::size_t>(1, intra_op_threads() / endpoints);
   }
-  decoder->set_intra_op_threads(per_device);
-  decoder->set_precision(options_.precision);
-  decoder->set_recv_timeout(options_.request_deadline);
-  decoder->set_kv_block_limit(options_.kv_block_limit);
-  // Metrics before tracer: set_tracer broadcasts the refresh handshake, and
-  // its bytes must land on the transport counters the spans are checked
-  // against.
-  if (options_.metrics != nullptr) decoder->set_metrics(options_.metrics);
-  decoder->set_tracer(options_.tracer);
-  decoder->set_telemetry(options_.telemetry);
-  decoder->set_flight_recorder(options_.flight_recorder);
-  return decoder;
+  mesh_->set_intra_op_threads(per_device);
+  mesh_->set_tracer(options_.tracer);
+  mesh_->set_telemetry(options_.telemetry);
+  mesh_->transport().set_flight_recorder(options_.flight_recorder);
+  runtime_ = std::make_unique<VoltageRuntime>(
+      model_,
+      LayerSchedule::uniform(options_.scheme, model_.spec().num_layers),
+      options_.policy, mesh_);
+  runtime_->set_precision(options_.precision);
+  runtime_->set_recv_timeout(options_.request_deadline);
+  if (options_.metrics != nullptr) runtime_->set_metrics(options_.metrics);
+  if (model_.spec().kind != ModelKind::kCausalLm) return;
+  decoder_ = std::make_unique<DistributedDecoder>(model_, options_.scheme,
+                                                  options_.policy, mesh_);
+  decoder_->set_precision(options_.precision);
+  decoder_->set_recv_timeout(options_.request_deadline);
+  decoder_->set_kv_block_limit(options_.kv_block_limit);
+  if (options_.metrics != nullptr) decoder_->set_metrics(options_.metrics);
 }
 
-void InferenceServer::rebuild_runtime_if_poisoned() {
-  if (!runtime_->fabric().closed()) return;
+void InferenceServer::recover(const std::exception_ptr& error) {
+  if (!mesh_->transport().closed()) return;
   // A poisoned transport never recovers (that is what makes poisoning a
-  // sound unblocking primitive), so the dispatcher swaps in a fresh runtime
-  // rather than failing every later request with the stale close reason.
-  // The installed partition executor survives the swap — only the mesh is
-  // replaced, not the kernel.
+  // sound unblocking primitive): every generation decoding on the mesh lost
+  // its KV state, and the dispatcher swaps in a fresh mesh rather than
+  // failing every later request with the stale close reason. The installed
+  // partition executor survives the swap — only the mesh is replaced, not
+  // the kernel. The futures fail last, so a client that sees its failure
+  // sees a server that already serves again.
+  std::vector<ActiveRequest> doomed = std::exchange(batch_, {});
   PartitionExecutor executor = runtime_->partition_executor();
-  std::unique_ptr<VoltageRuntime> fresh = make_runtime();
-  fresh->set_partition_executor(std::move(executor));
-  runtime_ = std::move(fresh);
+  build_mesh();
+  runtime_->set_partition_executor(std::move(executor));
   {
     const std::lock_guard lock(mutex_);
     runtime_rebuilds_ += 1;
   }
   if (metrics_ != nullptr) {
     metrics_->counter("server.runtime_rebuilds").add(1);
+  }
+  for (ActiveRequest& active : doomed) {
+    fail_generate(active, error, /*release=*/false);
   }
 }
 
@@ -247,21 +254,20 @@ void InferenceServer::shutdown() {
 // token granularity.
 
 void InferenceServer::dispatch_loop() {
-  // The dispatcher is the terminal device of every runtime/decoder it
-  // drives: publish the tracer so transport sends from this thread emit
-  // flow events even outside the runtimes' own scopes.
+  // The dispatcher is the terminal device of the mesh: publish the tracer
+  // so transport sends from this thread emit flow events even outside the
+  // mesh's own scopes.
   const obs::ThreadTracerScope tracer_scope(tracer_);
   const obs::ThreadTrackScope track_scope(obs::kServeTrack);
-  std::vector<ActiveRequest> batch;
   for (;;) {
     std::vector<Job> inline_jobs;
     std::vector<Job> admissions;
     {
       std::unique_lock lock(mutex_);
-      if (batch.empty()) {
+      if (batch_.empty()) {
         wake_.wait(lock, [this] { return !queue_.empty() || stopping_; });
       }
-      if (queue_.empty() && batch.empty()) {
+      if (queue_.empty() && batch_.empty()) {
         if (stopping_) return;
         continue;
       }
@@ -271,7 +277,7 @@ void InferenceServer::dispatch_loop() {
         Job job = std::move(queue_.front());
         queue_.pop_front();
         if (std::holds_alternative<GenerateRequest>(job.input)) {
-          if (batch.size() + admissions.size() < cap) {
+          if (batch_.size() + admissions.size() < cap) {
             admissions.push_back(std::move(job));
           } else {
             waiting.push_back(std::move(job));
@@ -290,139 +296,121 @@ void InferenceServer::dispatch_loop() {
     // Short inline requests are served between decode iterations — they
     // never wait for the batch to drain.
     for (Job& job : inline_jobs) serve_inline(std::move(job));
-    for (Job& job : admissions) admit_generate(std::move(job), batch);
+    for (Job& job : admissions) admit_generate(std::move(job));
 
-    if (!batch.empty()) {
-      // Deadline preemption before spending a step on a doomed request:
-      // the preempted future fails, its KV blocks free, batch-mates are
-      // untouched.
-      const obs::Micros now = obs::now_us();
-      for (auto it = batch.begin(); it != batch.end();) {
-        if (it->deadline_us != 0 && now >= it->deadline_us) {
-          {
-            const std::lock_guard lock(mutex_);
-            preempted_ += 1;
-          }
-          fail_generate(*it,
-                        std::make_exception_ptr(RecvTimeoutError(
-                            "InferenceServer: request deadline exceeded "
-                            "while decoding")),
-                        /*release=*/true);
-          it = batch.erase(it);
-        } else {
-          ++it;
-        }
+    // Deadline preemption before spending a step on a doomed request: the
+    // preempted future fails, its KV blocks free, batch-mates are
+    // untouched.
+    const obs::Micros now = obs::now_us();
+    for (ActiveRequest& active :
+         take_if(batch_, [now](const ActiveRequest& a) {
+           return a.deadline_us != 0 && now >= a.deadline_us;
+         })) {
+      {
+        const std::lock_guard lock(mutex_);
+        preempted_ += 1;
       }
+      fail_generate(active,
+                    std::make_exception_ptr(RecvTimeoutError(
+                        "InferenceServer: request deadline exceeded while "
+                        "decoding")),
+                    /*release=*/true);
     }
-    if (!batch.empty()) {
+    if (!batch_.empty()) {
       if (metrics_ != nullptr) {
         metrics_->histogram("server.batch_occupancy")
-            .record(static_cast<double>(batch.size()));
+            .record(static_cast<double>(batch_.size()));
       }
       {
         const std::lock_guard lock(mutex_);
-        batch_peak_ = std::max(batch_peak_, batch.size());
+        batch_peak_ = std::max(batch_peak_, batch_.size());
+      }
+      advance_batch();
+      for (ActiveRequest& active :
+           take_if(batch_, [](const ActiveRequest& a) {
+             return a.generated.size() >= a.target;
+           })) {
+        complete_generate(active);
       }
     }
-    if (!batch.empty() && !options_.drafter_factory) {
-      std::vector<SlotToken> lanes;
-      lanes.reserve(batch.size());
-      for (const ActiveRequest& active : batch) {
-        lanes.push_back(SlotToken{.slot = active.slot, .token = active.next});
-      }
-      Tensor logits(0, 0);
-      try {
-        logits = decoder_->step_batch(
-            std::span<const SlotToken>(lanes.data(), lanes.size()));
-      } catch (...) {
-        // The mesh died mid-step: every in-flight sequence lost its KV
-        // state, so every in-flight future fails with the root cause.
-        // Queued requests are unaffected — the next admission builds a
-        // fresh decoder.
-        fail_batch(batch, std::current_exception());
-      }
-      if (!batch.empty()) {
-        std::vector<ActiveRequest> still;
-        still.reserve(batch.size());
-        for (std::size_t r = 0; r < batch.size(); ++r) {
-          ActiveRequest& active = batch[r];
-          active.next = static_cast<TokenId>(argmax_row(logits, r));
-          active.generated.push_back(active.next);
-          tokens_generated_.fetch_add(1, std::memory_order_relaxed);
-          if (active.generated.size() >= active.target) {
-            complete_generate(active);
-          } else {
-            still.push_back(std::move(active));
-          }
-        }
-        batch = std::move(still);
-      }
-    } else if (!batch.empty()) {
-      // Speculative iteration: each lane drafts a window sized by its
-      // controller (never past its remaining token budget) and the whole
-      // batch verifies in one step_speculative round. A lane whose drafter
-      // stays silent rides along as a plain single-token step.
-      std::vector<std::vector<TokenId>> drafts;
-      drafts.reserve(batch.size());
-      std::vector<SlotWindow> lanes;
-      lanes.reserve(batch.size());
-      for (ActiveRequest& active : batch) {
-        const std::size_t remaining = active.target - active.generated.size();
-        const std::size_t want =
-            std::min(active.spec.window(), remaining - 1);
-        std::vector<TokenId> guess;
-        if (want > 0 && active.drafter != nullptr) {
-          guess = active.drafter->draft(want);
-          if (guess.size() > want) guess.resize(want);
-        }
-        drafts.push_back(std::move(guess));
-        lanes.push_back(SlotWindow{
-            .slot = active.slot,
-            .token = active.next,
-            .drafts = std::span<const TokenId>(drafts.back().data(),
-                                               drafts.back().size())});
-      }
-      std::vector<LaneCommit> commits;
-      try {
-        commits = decoder_->step_speculative(
-            std::span<const SlotWindow>(lanes.data(), lanes.size()));
-      } catch (...) {
-        fail_batch(batch, std::current_exception());
-      }
-      if (!batch.empty()) {
-        std::vector<ActiveRequest> still;
-        still.reserve(batch.size());
-        for (std::size_t r = 0; r < batch.size(); ++r) {
-          ActiveRequest& active = batch[r];
-          const LaneCommit& commit = commits[r];
-          active.generated.insert(active.generated.end(),
-                                  commit.tokens.begin(), commit.tokens.end());
-          active.next = commit.tokens.back();
-          tokens_generated_.fetch_add(commit.tokens.size(),
-                                      std::memory_order_relaxed);
-          const std::size_t rejected = commit.drafted - commit.accepted;
-          spec_accepted_.fetch_add(commit.accepted,
-                                   std::memory_order_relaxed);
-          spec_rejected_.fetch_add(rejected, std::memory_order_relaxed);
-          if (metrics_ != nullptr && commit.drafted > 0) {
-            metrics_->counter("server.spec_accepted").add(commit.accepted);
-            metrics_->counter("server.spec_rejected").add(rejected);
-          }
-          if (active.drafter != nullptr) {
-            active.drafter->observe(std::span<const TokenId>(
-                commit.tokens.data(), commit.tokens.size()));
-          }
-          active.spec.update(commit.accepted, commit.drafted);
-          if (active.generated.size() >= active.target) {
-            complete_generate(active);
-          } else {
-            still.push_back(std::move(active));
-          }
-        }
-        batch = std::move(still);
-      }
+    batch_size_.store(batch_.size(), std::memory_order_relaxed);
+  }
+}
+
+void InferenceServer::advance_batch() {
+  if (!options_.drafter_factory) {
+    std::vector<SlotToken> lanes;
+    lanes.reserve(batch_.size());
+    for (const ActiveRequest& active : batch_) {
+      lanes.push_back(SlotToken{.slot = active.slot, .token = active.next});
     }
-    batch_size_.store(batch.size(), std::memory_order_relaxed);
+    Tensor logits(0, 0);
+    try {
+      logits = decoder_->step_batch(
+          std::span<const SlotToken>(lanes.data(), lanes.size()));
+    } catch (...) {
+      fail_batch(std::current_exception());
+      return;
+    }
+    for (std::size_t r = 0; r < batch_.size(); ++r) {
+      ActiveRequest& active = batch_[r];
+      active.next = static_cast<TokenId>(argmax_row(logits, r));
+      active.generated.push_back(active.next);
+      tokens_generated_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return;
+  }
+  // Speculative iteration: each lane drafts a window sized by its
+  // controller (never past its remaining token budget) and the whole batch
+  // verifies in one step_speculative round. A lane whose drafter stays
+  // silent rides along as a plain single-token step.
+  std::vector<std::vector<TokenId>> drafts;
+  drafts.reserve(batch_.size());
+  std::vector<SlotWindow> lanes;
+  lanes.reserve(batch_.size());
+  for (ActiveRequest& active : batch_) {
+    const std::size_t remaining = active.target - active.generated.size();
+    const std::size_t want = std::min(active.spec.window(), remaining - 1);
+    std::vector<TokenId> guess;
+    if (want > 0 && active.drafter != nullptr) {
+      guess = active.drafter->draft(want);
+      if (guess.size() > want) guess.resize(want);
+    }
+    drafts.push_back(std::move(guess));
+    lanes.push_back(SlotWindow{
+        .slot = active.slot,
+        .token = active.next,
+        .drafts = std::span<const TokenId>(drafts.back().data(),
+                                           drafts.back().size())});
+  }
+  std::vector<LaneCommit> commits;
+  try {
+    commits = decoder_->step_speculative(
+        std::span<const SlotWindow>(lanes.data(), lanes.size()));
+  } catch (...) {
+    fail_batch(std::current_exception());
+    return;
+  }
+  for (std::size_t r = 0; r < batch_.size(); ++r) {
+    ActiveRequest& active = batch_[r];
+    const LaneCommit& commit = commits[r];
+    active.generated.insert(active.generated.end(), commit.tokens.begin(),
+                            commit.tokens.end());
+    active.next = commit.tokens.back();
+    tokens_generated_.fetch_add(commit.tokens.size(),
+                                std::memory_order_relaxed);
+    const std::size_t rejected = commit.drafted - commit.accepted;
+    spec_accepted_.fetch_add(commit.accepted, std::memory_order_relaxed);
+    spec_rejected_.fetch_add(rejected, std::memory_order_relaxed);
+    if (metrics_ != nullptr && commit.drafted > 0) {
+      metrics_->counter("server.spec_accepted").add(commit.accepted);
+      metrics_->counter("server.spec_rejected").add(rejected);
+    }
+    if (active.drafter != nullptr) {
+      active.drafter->observe(std::span<const TokenId>(commit.tokens.data(),
+                                                       commit.tokens.size()));
+    }
+    active.spec.update(commit.accepted, commit.drafted);
   }
 }
 
@@ -484,22 +472,14 @@ void InferenceServer::serve_inline(Job job) {
     requests_completed_.fetch_add(1, std::memory_order_relaxed);
     job.result.set_value(std::move(logits));
   } catch (...) {
-    {
-      const std::lock_guard lock(mutex_);
-      failed_ += 1;
-    }
-    if (metrics_ != nullptr) {
-      metrics_->counter("server.requests_failed").add(1);
-    }
-    job.result.set_exception(std::current_exception());
-    // A failure that poisoned the mesh must not doom every later request:
-    // swap in a fresh runtime so the dispatcher keeps serving.
-    rebuild_runtime_if_poisoned();
+    const std::exception_ptr error = std::current_exception();
+    recover(error);
+    count_failed();
+    job.result.set_exception(error);
   }
 }
 
-bool InferenceServer::admit_generate(Job job,
-                                     std::vector<ActiveRequest>& batch) {
+void InferenceServer::admit_generate(Job job) {
   const obs::Micros admitted_us = obs::now_us();
   const obs::Micros wait_us = admitted_us - job.arrival_us;
   if (tracer_ != nullptr) {
@@ -533,10 +513,9 @@ bool InferenceServer::admit_generate(Job job,
                   std::make_exception_ptr(RecvTimeoutError(
                       "InferenceServer: request deadline exceeded in queue")),
                   /*release=*/false);
-    return false;
+    return;
   }
   try {
-    if (decoder_ == nullptr) decoder_ = make_decoder();
     const GenerateRequest& req = std::get<GenerateRequest>(active.job.input);
     // The prefill runs under the request's own trace id; batched decode
     // steps serve several requests at once and carry their own per-step id.
@@ -546,7 +525,7 @@ bool InferenceServer::admit_generate(Job job,
     active.slot = primed.slot;
     if (active.target == 0) {
       complete_generate(active);
-      return false;
+      return;
     }
     active.next = static_cast<TokenId>(argmax_row(primed.logits, 0));
     active.generated.push_back(active.next);
@@ -554,7 +533,7 @@ bool InferenceServer::admit_generate(Job job,
     tokens_generated_.fetch_add(1, std::memory_order_relaxed);
     if (active.generated.size() >= active.target) {
       complete_generate(active);
-      return false;
+      return;
     }
     if (options_.drafter_factory) {
       active.drafter = options_.drafter_factory();
@@ -563,17 +542,14 @@ bool InferenceServer::admit_generate(Job job,
           std::span<const TokenId>(req.prompt.data(), req.prompt.size()));
       active.drafter->observe(std::span<const TokenId>(&active.next, 1));
     }
-    batch.push_back(std::move(active));
-    return true;
+    batch_.push_back(std::move(active));
   } catch (...) {
     // Pre-mesh validation errors (bad token, prompt exceeds the window)
-    // leave the decoder and its other slots fully serviceable; only a
-    // poisoned fabric means the in-flight batch died with this prefill.
-    const bool mesh_dead =
-        decoder_ != nullptr && decoder_->fabric().closed();
-    fail_generate(active, std::current_exception(), /*release=*/false);
-    if (mesh_dead) fail_batch(batch, std::current_exception());
-    return false;
+    // leave the mesh and the other slots fully serviceable; only a
+    // poisoned mesh takes the in-flight batch down with this prefill.
+    const std::exception_ptr error = std::current_exception();
+    recover(error);
+    fail_generate(active, error, /*release=*/false);
   }
 }
 
@@ -625,23 +601,10 @@ void InferenceServer::complete_generate(ActiveRequest& active) {
                         .tag = {}});
   }
   active.job.generated.set_value(std::move(active.generated));
-  // Return the slot's KV blocks to the pool. If the mesh died under the
-  // release broadcast the request itself still succeeded; drop the decoder
-  // so the next admission builds a fresh one.
-  if (decoder_ != nullptr) {
-    try {
-      decoder_->release_slot(active.slot);
-    } catch (...) {
-      decoder_.reset();
-      if (metrics_ != nullptr) {
-        metrics_->counter("server.decoder_rebuilds").add(1);
-      }
-    }
-  }
+  release(active.slot);
 }
 
-void InferenceServer::fail_generate(ActiveRequest& active,
-                                    std::exception_ptr error, bool release) {
+void InferenceServer::count_failed() {
   {
     const std::lock_guard lock(mutex_);
     failed_ += 1;
@@ -649,32 +612,35 @@ void InferenceServer::fail_generate(ActiveRequest& active,
   if (metrics_ != nullptr) {
     metrics_->counter("server.requests_failed").add(1);
   }
+}
+
+void InferenceServer::fail_generate(ActiveRequest& active,
+                                    std::exception_ptr error, bool release) {
+  count_failed();
   active.job.generated.set_exception(std::move(error));
-  if (release && decoder_ != nullptr && !decoder_->fabric().closed()) {
-    try {
-      decoder_->release_slot(active.slot);
-    } catch (...) {
-      decoder_.reset();
-      if (metrics_ != nullptr) {
-        metrics_->counter("server.decoder_rebuilds").add(1);
-      }
-    }
+  if (release) this->release(active.slot);
+}
+
+void InferenceServer::fail_batch(const std::exception_ptr& error) {
+  // Every lane rode the failed step. If the step poisoned the mesh, the
+  // rebuild leaves their slots behind with the old decoder; otherwise (a
+  // validation error) their slots are released on the live one.
+  std::vector<ActiveRequest> lanes = std::exchange(batch_, {});
+  recover(error);
+  for (ActiveRequest& active : lanes) {
+    fail_generate(active, error, /*release=*/true);
   }
 }
 
-void InferenceServer::fail_batch(std::vector<ActiveRequest>& batch,
-                                 std::exception_ptr error) {
-  for (ActiveRequest& active : batch) {
-    fail_generate(active, error, /*release=*/false);
-  }
-  batch.clear();
-  // A failed DistributedDecoder is dead (its mesh is poisoned); drop it so
-  // the next admission builds a fresh one.
-  if (decoder_ != nullptr) {
-    decoder_.reset();
-    if (metrics_ != nullptr) {
-      metrics_->counter("server.decoder_rebuilds").add(1);
-    }
+void InferenceServer::release(SlotId slot) {
+  // A slot the current decoder does not hold died with a rebuilt mesh.
+  if (!decoder_->slot_active(slot)) return;
+  try {
+    decoder_->release_slot(slot);
+  } catch (...) {
+    // Only a dying mesh fails a release; the request it belonged to has
+    // already resolved.
+    recover(std::current_exception());
   }
 }
 

@@ -3,7 +3,8 @@
 //
 // Requests (token sequences, images, or greedy-generation jobs) enter a FIFO
 // queue from any thread and resolve through std::future. A dispatcher thread
-// drives two planes:
+// drives two planes, both on one persistent Mesh (runtime/mesh.h) — one
+// transport and one set of K device workers serve every request:
 //   - logits/image requests run one at a time through a VoltageRuntime (the
 //     whole cluster serves each request — that is the point of
 //     latency-oriented distribution);
@@ -34,6 +35,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -49,6 +51,7 @@
 #include "partition/scheme.h"
 #include "runtime/distributed_decoder.h"
 #include "runtime/drafter.h"
+#include "runtime/mesh.h"
 #include "runtime/voltage_runtime.h"
 #include "transformer/model.h"
 
@@ -71,7 +74,8 @@ struct ServerStats {
   // Subset of `failed`: generation requests cut from the running batch
   // because their per-request deadline expired mid-decode.
   std::size_t preempted = 0;
-  // Times the dispatcher rebuilt its runtime after a poisoned transport.
+  // Times the dispatcher rebuilt its mesh (and the runtime and decoder on
+  // it) after a failure poisoned the mesh's transport.
   std::size_t runtime_rebuilds = 0;
   // Largest number of generation requests decoding in one batched step.
   std::size_t batch_peak = 0;
@@ -140,12 +144,12 @@ class InferenceServer {
     // landing. Unset (default) = plain single-token stepping.
     std::function<std::unique_ptr<Drafter>()> drafter_factory = {};
     std::size_t max_draft_tokens = 4;
-    // Test hook: builds the decoder's transport (devices = K workers + the
+    // Test hook: builds the mesh's transport (devices = K workers + the
     // terminal) instead of make_transport(transport, ...) — the way to
-    // inject a ChaosTransport underneath a serving batch. Called once per
-    // decoder build, including rebuilds after a mesh failure.
+    // inject a ChaosTransport underneath the server. Called once per mesh
+    // build, including rebuilds after a mesh failure.
     std::function<std::unique_ptr<Transport>(std::size_t devices)>
-        decoder_transport_factory = {};
+        transport_factory = {};
     // Optional observability sinks (all non-owning; nullptr = off).
     obs::Tracer* tracer = nullptr;
     obs::MetricsRegistry* metrics = nullptr;
@@ -162,8 +166,8 @@ class InferenceServer {
     Seconds telemetry_period = 1.0;
     std::string telemetry_jsonl_path = {};
     std::string telemetry_prometheus_path = {};
-    // Flight recorder: attached to the runtime and decoder transports (its
-    // ring auto-dumps when a transport is poisoned) and cleared at each
+    // Flight recorder: attached to the mesh's transport (its ring
+    // auto-dumps when the transport is poisoned) and cleared at each
     // scheduler iteration, so a dump holds the wire history of the current
     // batch iteration.
     obs::FlightRecorder* flight_recorder = nullptr;
@@ -188,8 +192,8 @@ class InferenceServer {
   // one distributed prefill per request, then O(T) cached steps batched
   // with the other in-flight generations (the result is bitwise identical
   // to serving alone; see DESIGN.md "Continuous batching"). A mesh failure
-  // fails every generation decoding at that moment and drops the decoder;
-  // queued requests are served by a fresh one.
+  // — under any request, scoring or generation — fails every generation
+  // decoding at that moment; queued requests are served by a fresh mesh.
   [[nodiscard]] std::future<std::vector<TokenId>> submit_generate(
       std::vector<TokenId> prompt, std::size_t new_tokens);
 
@@ -206,8 +210,9 @@ class InferenceServer {
     return batch_size_.load(std::memory_order_relaxed);
   }
 
-  // The runtime currently serving requests (rebuilt after transport
-  // poisoning — do not cache the reference across failures). Exposed for
+  // The runtime currently serving requests (rebuilt with the mesh after a
+  // mesh failure — do not cache the reference across failures). Its
+  // fabric() is the mesh's transport, which the decoder shares. Exposed for
   // configuration and fault-injection tests; touch it only while no request
   // is in flight.
   [[nodiscard]] VoltageRuntime& runtime() noexcept { return *runtime_; }
@@ -244,26 +249,36 @@ class InferenceServer {
   void enqueue(Job job);
   void dispatch_loop();
   void serve_inline(Job job);
-  // Admission: prefill + first token. True if the request entered the
-  // batch; false if it completed or failed immediately.
-  bool admit_generate(Job job, std::vector<ActiveRequest>& batch);
+  // Admission: prefill + first token; the request joins batch_ unless it
+  // completed or failed immediately.
+  void admit_generate(Job job);
+  // Advances every request in batch_ by one decode iteration.
+  void advance_batch();
   void complete_generate(ActiveRequest& active);
+  void count_failed();
   void fail_generate(ActiveRequest& active, std::exception_ptr error,
                      bool release);
-  // Mesh death: fails every in-flight generation with `error` and drops the
-  // decoder so the next admission builds a fresh one.
-  void fail_batch(std::vector<ActiveRequest>& batch, std::exception_ptr error);
+  // A failed decode step fails every request in batch_.
+  void fail_batch(const std::exception_ptr& error);
+  // Returns a slot's KV blocks to the pool.
+  void release(SlotId slot);
+  // The one failure path: if `error` poisoned the mesh, the mesh, runtime
+  // and decoder are rebuilt and every in-flight generation fails with it.
+  // Callers resolve their own future after it returns.
+  void recover(const std::exception_ptr& error);
+  // Builds the mesh, and the runtime and decoder over it, from options_.
+  void build_mesh();
   void telemetry_loop();
   void export_telemetry();
-  [[nodiscard]] std::unique_ptr<VoltageRuntime> make_runtime() const;
-  [[nodiscard]] std::unique_ptr<DistributedDecoder> make_decoder() const;
-  void rebuild_runtime_if_poisoned();
 
   const TransformerModel& model_;
-  Options options_;  // construction parameters, kept for runtime rebuilds
+  Options options_;  // construction parameters, kept for mesh rebuilds
+  // The one mesh and the two planes on it; dispatcher-thread only after
+  // construction. decoder_ is null for models that cannot generate.
+  std::shared_ptr<Mesh> mesh_;
   std::unique_ptr<VoltageRuntime> runtime_;
-  // Lazily built at the first generation admission; dispatcher-thread only.
   std::unique_ptr<DistributedDecoder> decoder_;
+  std::vector<ActiveRequest> batch_;  // generations decoding
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::TelemetryHub* telemetry_ = nullptr;

@@ -651,9 +651,6 @@ TEST(CriticalPath, DistributedDecoderStepsDecomposeAcrossFourDevices) {
       logits = decoder.step(static_cast<TokenId>(argmax_row(logits, 0)));
     }
   }
-  // step() returns on the terminal's critical path; workers off it may
-  // still be draining their last merge receives. Destroying the decoder
-  // joins them, so only now is the flow graph guaranteed closed.
   std::ostringstream out;
   tracer.write_chrome_trace(out);
   const obs::LoadedTrace loaded = obs::load_chrome_trace(out.str());
@@ -696,11 +693,31 @@ TEST(CriticalPath, DistributedDecoderStepsDecomposeAcrossFourDevices) {
       << "no flow arrow reached the terminal track";
 }
 
+// Every decoder call returns only after every device has returned, so a
+// trace exported mid-run — decoder alive, nothing torn down — already has
+// every send arrow matched by its receive.
+TEST(InstrumentedDecoder, FlowGraphIsClosedRightAfterAStep) {
+  const TransformerModel model = make_model(mini_gpt2_spec());
+  obs::Tracer tracer;
+  DistributedDecoder decoder(model, PartitionScheme::even(4));
+  decoder.set_tracer(&tracer);
+  const auto prompt = random_tokens(10, model.spec().vocab_size, 27);
+  Tensor logits = decoder.prime(std::span<const TokenId>(prompt));
+  for (int i = 0; i < 3; ++i) {
+    logits = decoder.step(static_cast<TokenId>(argmax_row(logits, 0)));
+    std::ostringstream out;
+    tracer.write_chrome_trace(out);
+    const obs::LoadedTrace loaded = obs::load_chrome_trace(out.str());
+    const std::vector<std::string> problems = obs::flow_problems(loaded);
+    EXPECT_TRUE(problems.empty())
+        << "after step " << i << ": " << problems.front();
+  }
+}
+
 // The byte-exactness invariant (Σ comm-span bytes == transport bytes sent)
-// must survive the set_tracer refresh handshake and the shutdown broadcast:
-// both are flow-free but still put bytes on the wire, so both must emit
-// byte-annotated comm spans. The metrics counter outlives the decoder, so
-// the comparison can include teardown traffic.
+// holds over a decoder's whole life, attach and teardown included: every
+// message on the wire is sent under a byte-annotated comm span. The
+// metrics counter outlives the decoder, so the comparison covers all of it.
 TEST(InstrumentedDecoder, CommSpanBytesStayExactThroughAttachAndShutdown) {
   const TransformerModel model = make_model(mini_gpt2_spec());
   obs::Tracer tracer;
@@ -708,7 +725,7 @@ TEST(InstrumentedDecoder, CommSpanBytesStayExactThroughAttachAndShutdown) {
   {
     DistributedDecoder decoder(model, PartitionScheme::even(2));
     decoder.set_metrics(&metrics);
-    decoder.set_tracer(&tracer);  // handshake broadcast lands on the trace
+    decoder.set_tracer(&tracer);
     const auto prompt = random_tokens(8, model.spec().vocab_size, 3);
     Tensor logits = decoder.prime(std::span<const TokenId>(prompt));
     (void)decoder.step(static_cast<TokenId>(argmax_row(logits, 0)));

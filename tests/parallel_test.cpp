@@ -7,6 +7,11 @@
 #include "transformer/zoo.h"
 
 namespace voltage {
+
+// Prints a spec by its name, so parameterised test listings (and the test
+// names derived from them) do not depend on where the spec lives in memory.
+void PrintTo(const ModelSpec& spec, std::ostream* os) { *os << spec.name; }
+
 namespace {
 
 sim::DeviceSpec paper_device() {

@@ -1,8 +1,11 @@
 // Tests of the InferenceServer: correctness of served results, concurrency
 // from multiple submitters, statistics, lifecycle handling, and failure
 // containment (a poisoned runtime must fail one future, not the server).
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string_view>
@@ -77,7 +80,9 @@ TEST(InferenceServer, ConcurrentSubmitters) {
   InferenceServer server(model, options(2));
   constexpr int kThreads = 4;
   std::vector<std::thread> submitters;
-  std::vector<bool> ok(kThreads, false);
+  // One byte per submitter: std::vector<bool> packs the flags into shared
+  // words, and concurrent writes to one word race.
+  std::array<bool, kThreads> ok{};
   for (int t = 0; t < kThreads; ++t) {
     submitters.emplace_back([&, t] {
       const auto tokens =
@@ -139,7 +144,11 @@ TEST(InferenceServer, PoisonedRuntimeFailsOneFutureThenRecovers) {
         return partitioned_layer_forward(model.layers()[layer], x, p, policy);
       });
   const auto tokens = random_tokens(12, model.spec().vocab_size, 21);
-  auto doomed = server.submit(tokens);
+  // Shared, so this thread keeps the failed result alive until it is done
+  // reading the exception: the dispatcher may otherwise free it, ordered
+  // only by the exception refcount inside the (uninstrumented) C++ runtime,
+  // which ThreadSanitizer cannot see.
+  const std::shared_future<Tensor> doomed = server.submit(tokens).share();
   try {
     (void)doomed.get();
     FAIL() << "the poisoned request's future must carry the fault";
@@ -257,9 +266,9 @@ TEST(InferenceServer, GenerateRejectsNonCausalModels) {
 }
 
 TEST(InferenceServer, GenerateFailureFailsOneFutureAndRebuildsDecoder) {
-  // A bad prompt token makes the generation fail inside the dispatcher; the
-  // future carries the error, the decoder is dropped, and the next
-  // generation request succeeds on a fresh one.
+  // A bad prompt token makes the generation fail inside the dispatcher,
+  // before it touches the mesh: the future carries the error and the next
+  // generation request succeeds.
   const TransformerModel model = make_model(mini_gpt2_spec());
   InferenceServer server(model, options(2));
   auto doomed = server.submit_generate(
@@ -317,6 +326,93 @@ TEST(InferenceServer, TracesQueueWaitAndServicePerRequest) {
   EXPECT_EQ(metrics.counter("server.requests_completed").value(), kRequests);
   EXPECT_EQ(metrics.histogram("server.service_seconds").snapshot().count,
             kRequests);
+}
+
+std::vector<TokenId> greedy_reference(const TransformerModel& model,
+                                      const std::vector<TokenId>& prompt,
+                                      std::size_t new_tokens) {
+  IncrementalDecoder reference(model);
+  std::vector<TokenId> tokens;
+  Tensor logits = reference.prime(prompt);
+  for (std::size_t i = 0; i < new_tokens; ++i) {
+    tokens.push_back(static_cast<TokenId>(argmax_row(logits, 0)));
+    if (i + 1 < new_tokens) logits = reference.step(tokens.back());
+  }
+  return tokens;
+}
+
+TEST(InferenceServer, GenerationRunsOnTheRuntimesMesh) {
+  // Scoring and generation share one mesh: decode traffic lands on the
+  // same transport the runtime reports.
+  const TransformerModel model = make_model(mini_gpt2_spec());
+  InferenceServer server(model, options(2));
+  const std::uint64_t before =
+      server.runtime().fabric().total_stats().messages_sent;
+  const auto prompt = random_tokens(10, model.spec().vocab_size, 61);
+  EXPECT_EQ(server.submit_generate(prompt, 4).get(),
+            greedy_reference(model, prompt, 4));
+  EXPECT_GT(server.runtime().fabric().total_stats().messages_sent, before);
+}
+
+TEST(InferenceServer, ScoringFaultFailsInFlightGenerationAndRebuildsOnce) {
+  // A device fault under a scoring request poisons the one mesh, so the
+  // generation decoding on it at that moment fails too; the dispatcher
+  // rebuilds mesh, runtime and decoder once and keeps serving both planes.
+  ModelSpec spec = mini_gpt2_spec();
+  spec.max_positions = 4096;  // room for a generation the fault cuts short
+  const TransformerModel model(spec, 1);
+  InferenceServer server(model, options(2));
+  auto armed = std::make_shared<std::atomic<bool>>(false);
+  server.runtime().set_partition_executor(
+      [&model, armed](std::size_t layer, const Tensor& x, Range p,
+                      OrderPolicy policy) {
+        if (layer == 1 && p.begin == 0 && armed->exchange(false)) {
+          throw std::runtime_error("injected device fault");
+        }
+        return partitioned_layer_forward(model.layers()[layer], x, p, policy);
+      });
+  // Shared futures: see PoisonedRuntimeFailsOneFutureThenRecovers.
+  const std::shared_future<std::vector<TokenId>> generation =
+      server.submit_generate(random_tokens(8, spec.vocab_size, 62), 4000)
+          .share();
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server.batch_occupancy() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  ASSERT_EQ(server.batch_occupancy(), 1U);
+  armed->store(true);
+  const auto tokens = random_tokens(12, spec.vocab_size, 63);
+  const std::shared_future<Tensor> doomed = server.submit(tokens).share();
+  try {
+    (void)doomed.get();
+    FAIL() << "the scoring request's future must carry the fault";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string_view(e.what()).find("injected device fault"),
+              std::string_view::npos)
+        << e.what();
+  }
+  // The in-flight generation fails with the same root cause.
+  try {
+    (void)generation.get();
+    FAIL() << "the generation decoding on the failed mesh must fail";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string_view(e.what()).find("injected device fault"),
+              std::string_view::npos)
+        << e.what();
+  }
+
+  // Both planes serve correctly on the rebuilt mesh.
+  EXPECT_TRUE(
+      allclose(server.submit(tokens).get(), model.infer(tokens), 2e-3F));
+  const auto prompt = random_tokens(9, spec.vocab_size, 64);
+  EXPECT_EQ(server.submit_generate(prompt, 5).get(),
+            greedy_reference(model, prompt, 5));
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, 2U);
+  EXPECT_EQ(stats.failed, 2U);
+  EXPECT_EQ(stats.runtime_rebuilds, 1U);
 }
 
 }  // namespace
