@@ -3,6 +3,8 @@
 //   * batch-1 request latency: single device / Voltage / tensor parallelism
 //     (star and ring all-reduce) / pipeline parallelism;
 //   * saturated-stream throughput, where pipelining finally pays off;
+//   * tail latency under sporadic (Poisson) arrivals per strategy, the
+//     paper's §I serving motivation;
 //   * heterogeneous clusters: even vs proportional vs optimizer-planned
 //     partition schemes (DESIGN.md ablation #3);
 //   * linear-attention extension: per-layer sync volume vs softmax Voltage.
@@ -13,6 +15,7 @@
 #include "parallel/latency_model.h"
 #include "parallel/pipeline.h"
 #include "plan/planner.h"
+#include "sim/fleet.h"
 #include "transformer/linear_attention.h"
 #include "transformer/zoo.h"
 
@@ -63,6 +66,76 @@ void strategy_table() {
                   spec, n,
                   sim::Cluster::homogeneous(1, paper_device(),
                                             LinkModel::mbps(500))));
+}
+
+// One strategy as one mesh on the fleet simulator, priced from its batch-1
+// latency: single device, Voltage and tensor parallelism serve one request
+// at a time in `step` seconds (an M/D/1 queue). A pipeline is a
+// `stages`-lane mesh stepping at its bottleneck stage, one request per
+// stage: a request joins at a step boundary and leaves `stages` steps
+// later. Prefill is priced at 1e15 tokens/s, i.e. free.
+sim::FleetReport serve_poisson(Seconds step, std::size_t stages, double rate) {
+  std::vector<sim::StepPoint> curve{{.batch = 1.0, .step_time = step}};
+  if (stages > 1) {
+    curve.push_back(
+        {.batch = static_cast<double>(stages), .step_time = step});
+  }
+  const sim::FleetConfig config{
+      .num_meshes = 1,
+      .mesh = sim::MeshModel(1, std::move(curve), 1e15, 0.0, LinkModel{}),
+      .max_batch = stages};
+  const sim::OpenLoopTraffic traffic{
+      .base_rate_rps = rate,
+      .diurnal = {},
+      .prompt = sim::LengthDistribution::fixed(1),
+      .output = sim::LengthDistribution::fixed(stages),
+      .num_requests = 20000,
+      .seed = 1};
+  return sim::simulate_fleet(config, traffic);
+}
+
+void poisson_tail_table() {
+  const ModelSpec spec = bert_large_spec();
+  const std::size_t n = 200;
+  const std::size_t k = 4;
+  const auto cluster =
+      sim::Cluster::homogeneous(k, paper_device(), LinkModel::mbps(500));
+  const double single =
+      simulate_single_device(
+          spec, n, sim::Cluster::homogeneous(1, paper_device(),
+                                             LinkModel::mbps(500)))
+          .total;
+  const double voltage = simulate_voltage(spec, n, cluster,
+                                          PartitionScheme::even(k),
+                                          OrderPolicy::kAdaptive)
+                             .total;
+  const double tp_ring =
+      simulate_tensor_parallel(spec, n, cluster, AllReduceAlgo::kRing).total;
+  const PipelineReport pipe = simulate_pipeline(spec, n, cluster);
+  std::printf("\nSI: p99 sojourn under Poisson arrivals, BERT-Large N=200, "
+              "K=%zu, 500 Mbps\n(fleet simulator, 20000 requests per cell; "
+              "pipeline = %zu-stage mesh stepping at its %.3f s bottleneck)\n",
+              k, pipe.stages, pipe.bottleneck_stage);
+  std::printf("%9s  %10s %10s %10s %10s\n", "rate", "single", "voltage",
+              "tp-ring", "pipeline");
+  bench::print_rule(54);
+  for (const double rate : {0.1, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.5}) {
+    std::printf("%5.1f r/s ", rate);
+    const auto cell = [](const sim::FleetReport& r) {
+      if (r.stable) {
+        std::printf(" %9.2fs", r.e2e.p99);
+      } else {
+        std::printf(" %10s", "diverges");
+      }
+    };
+    cell(serve_poisson(single, 1, rate));
+    cell(serve_poisson(voltage, 1, rate));
+    cell(serve_poisson(tp_ring, 1, rate));
+    cell(serve_poisson(pipe.bottleneck_stage, pipe.stages, rate));
+    std::printf("\n");
+  }
+  std::printf("(diverges: offered load >= 1, so the queue has no steady-state "
+              "tail)\n");
 }
 
 void heterogeneous_table() {
@@ -129,6 +202,7 @@ int main() {
   std::printf("=== Ablation: deployment strategies and partition planning "
               "===\n");
   strategy_table();
+  poisson_tail_table();
   heterogeneous_table();
   linear_attention_table();
   return 0;

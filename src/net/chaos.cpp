@@ -80,8 +80,11 @@ void ChaosTransport::courier_loop() {
     }
     // Once the transport is stopping, residual delays are meaningless —
     // drain everything immediately so teardown stays prompt.
-    if (!stopping_ && pending_.top().due > std::chrono::steady_clock::now()) {
-      pending_cv_.wait_until(lock, pending_.top().due);
+    // Copy the due time: wait_until reads it again after waking, when a
+    // concurrent send() may have reallocated the queue under the reference.
+    const auto due = pending_.top().due;
+    if (!stopping_ && due > std::chrono::steady_clock::now()) {
+      pending_cv_.wait_until(lock, due);
       continue;
     }
     Message message = std::move(const_cast<Pending&>(pending_.top()).message);

@@ -1,14 +1,12 @@
 #include "runtime/distributed_decoder.h"
 
 #include <algorithm>
-#include <array>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 
 #include "collective/collectives.h"
 #include "collective/softmax_merge.h"
-#include "partition/partitioned_layer.h"
+#include "runtime/voltage_runtime.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "transformer/ffn.h"
@@ -173,7 +171,6 @@ void DistributedDecoder::worker_prefill(std::size_t i, std::size_t n,
                                         const RecvOptions& options,
                                         obs::Tracer* tracer, Precision wire) {
   const std::size_t k = scheme_.devices();
-  const bool int8 = wire == Precision::kInt8;
   const auto layers = model_.layers();
   // Algorithm 2 prefill with two decode twists: every layer banks this
   // device's input rows into its resident cache, and the last layer skips
@@ -181,92 +178,41 @@ void DistributedDecoder::worker_prefill(std::size_t i, std::size_t n,
   // (the LM head reads nothing else).
   Tensor x(0, 0);
   broadcast(mesh_->transport(), everyone_, i, k, x, kTagFeatures, options);
-  const std::size_t f = x.cols();
   const std::vector<Range> ranges = scheme_.ranges(n);
   const Range own = ranges[i];
-  std::array<Tensor, 2> seq{Tensor(n, f), Tensor(n, f)};
-  std::array<std::shared_ptr<Tensor>, 2> holders{
-      std::make_shared<Tensor>(0, 0), std::make_shared<Tensor>(0, 0)};
-  const Tensor* input = &x;
-  AttentionPrologue prologue;
-  bool have_prologue = false;
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    const obs::ThreadLayerScope layer_scope(static_cast<std::int64_t>(l));
-    const LayerConfig& config = layers[l].config();
+  const auto bank = [&](std::size_t l, const Tensor& input) {
     // Theorem 2 at the prefill shape fixes this (layer, device)'s resident
     // form for the whole sequence: naive layers cache K/V, reordered layers
     // cache the raw input rows.
+    const LayerConfig& config = layers[l].config();
     const AttentionDims dims{.n = n,
                              .p = own.size(),
                              .f = config.hidden,
                              .fh = config.head_dim};
-    const AttentionOrder resident = select_order(policy_, dims);
-    caches[l].init(resident, config, pool);
+    caches[l].init(select_order(policy_, dims), config, pool);
     if (!own.empty()) {
-      caches[l].append(input->slice_rows(own.begin, own.end),
+      caches[l].append(input.slice_rows(own.begin, own.end),
                        layers[l].weights().attention);
     }
-    Tensor part(0, 0);
-    {
-      obs::TraceSpan span(tracer, "layer", "compute",
-                          static_cast<obs::TrackId>(i));
-      span.device(static_cast<std::int64_t>(i))
-          .layer(static_cast<std::int64_t>(l))
-          .tag(int8 ? std::string("int8 ") + to_string(resident)
-                    : std::string(to_string(resident)));
-      part = int8 ? qstack_->partition_forward(l, *input, own, policy_)
-                  : partitioned_layer_forward(
-                        layers[l], *input, own, policy_,
-                        have_prologue ? &prologue : nullptr);
-    }
-    have_prologue = false;
-    auto& holder = holders[l % 2];
-    if (holder.use_count() == 1) {
-      *holder = std::move(part);
-    } else {
-      holder = std::make_shared<Tensor>(std::move(part));
-    }
-    if (l + 1 == layers.size()) {
-      if (own.contains(n - 1)) {
-        auto last_row = std::make_shared<const Tensor>(
-            holder->slice_rows(n - 1 - own.begin, n - own.begin));
-        Payload payload = tensor_payload_view(std::move(last_row));
-        obs::TraceSpan span(tracer, "send_final", "comm",
-                            static_cast<obs::TrackId>(i));
-        span.device(static_cast<std::int64_t>(i))
-            .layer(static_cast<std::int64_t>(l))
-            .bytes(static_cast<std::int64_t>(payload.size() +
-                                             kWireFrameBytes));
-        mesh_->transport().send(Message{.source = i,
-                                 .destination = terminal_id(),
-                                 .tag = kTagFinal,
-                                 .payload = std::move(payload)});
-      }
-    } else {
-      // PR-3 overlap: post the zero-copy gather, compute the next layer's
-      // attention prologue from the rows already in hand (the scheme is
-      // uniform across layers, so the next partition is exactly `own`),
-      // then block for the peer rows. The prologue precomputes fp32 Q/K
-      // projections, which the int8 plane never consumes — under kInt8 the
-      // gather ships quantized rows and the overlap window stays empty.
-      AllGatherInto gather(mesh_->transport(), workers_, i, holder, ranges,
-                           seq[l % 2], kTagPrefillGatherBase + l, options,
-                           wire);
-      if (!int8 && !own.empty()) {
-        obs::TraceSpan span(tracer, "overlap_compute", "compute",
-                            static_cast<obs::TrackId>(i));
-        span.device(static_cast<std::int64_t>(i))
-            .layer(static_cast<std::int64_t>(l + 1));
-        prologue =
-            attention_prologue(*holder, n, own,
-                               layers[l + 1].weights().attention,
-                               layers[l + 1].config(), policy_);
-        have_prologue = true;
-      }
-      gather.wait();
-      input = &seq[l % 2];
-    }
-  }
+  };
+  const std::shared_ptr<const Tensor> last = run_device_layers(
+      mesh_->transport(), workers_, i, layers, x,
+      std::vector<std::vector<Range>>(layers.size(), ranges),
+      policy_, {}, wire == Precision::kInt8 ? qstack_.get() : nullptr,
+      kTagPrefillGatherBase, options, bank);
+  if (!own.contains(n - 1)) return;
+  auto last_row = std::make_shared<const Tensor>(
+      last->slice_rows(n - 1 - own.begin, n - own.begin));
+  Payload payload = tensor_payload_view(std::move(last_row));
+  obs::TraceSpan span(tracer, "send_final", "comm",
+                      static_cast<obs::TrackId>(i));
+  span.device(static_cast<std::int64_t>(i))
+      .layer(static_cast<std::int64_t>(layers.size() - 1))
+      .bytes(static_cast<std::int64_t>(payload.size() + kWireFrameBytes));
+  mesh_->transport().send(Message{.source = i,
+                                  .destination = terminal_id(),
+                                  .tag = kTagFinal,
+                                  .payload = std::move(payload)});
 }
 
 void DistributedDecoder::worker_step_windows(std::size_t i,

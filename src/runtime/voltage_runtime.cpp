@@ -4,6 +4,7 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "collective/collectives.h"
@@ -114,19 +115,13 @@ Tensor VoltageRuntime::run(Tensor features) {
 
   const auto layers = model_.layers();
 
-  // Attention dimensions only vary with the partition length, so the
-  // Theorem-2 annotation on each layer span can be derived up front.
-  const LayerConfig& config = model_.spec().layer;
-
   // One absolute deadline for the whole request (see set_recv_timeout);
   // default-constructed options wait forever, the pre-failure behavior.
   const RecvOptions recv_opts = RecvOptions::within(recv_timeout_seconds_);
 
-  // The quantized plane, when selected and no custom kernel overrides it:
-  // int8 layer compute + int8 gather payloads. The fp32 attention prologue
-  // overlap does not apply (the int8 kernel has no prologue input).
-  const bool int8 = precision_ == Precision::kInt8 && !executor_;
-  const Precision wire = int8 ? Precision::kInt8 : Precision::kFp32;
+  // The quantized plane, when selected and no custom kernel overrides it.
+  const QuantizedStack* const int8 =
+      precision_ == Precision::kInt8 && !executor_ ? qstack_.get() : nullptr;
 
   Transport& transport = mesh_->transport();
   obs::Tracer* const tracer = mesh_->tracer();
@@ -135,97 +130,20 @@ Tensor VoltageRuntime::run(Tensor features) {
     // Algorithm 2, step 3: receive the distributed input features.
     Tensor x(0, 0);
     broadcast(transport, everyone, i, k, x, kTagBroadcast, recv_opts);
-    // Comm-path buffers, allocated once and reused for every layer:
-    // two full-sequence buffers (gather l writes seq[l%2] while layer l
-    // still reads its input from seq[(l-1)%2]) and two shared partition
-    // holders whose storage outgoing payloads borrow. holders[l%2] is
-    // safe to reuse at layer l+2: completing gather l+1 means every peer
-    // finished gather l first, i.e. consumed the layer-l message, and
-    // that consumption happens-before our reuse via the mailbox mutex
-    // chain. The use_count check below is a defensive fallback (e.g. a
-    // slow terminal still holding the final payload) — it never fires in
-    // the steady-state layer loop, which therefore performs zero heap
-    // allocations on the comm path.
-    std::array<Tensor, 2> seq{Tensor(n, f), Tensor(n, f)};
-    std::array<std::shared_ptr<Tensor>, 2> holders{
-        std::make_shared<Tensor>(0, 0), std::make_shared<Tensor>(0, 0)};
-    const Tensor* input = &x;
-    AttentionPrologue prologue;
-    bool have_prologue = false;
-    for (std::size_t l = 0; l < layers.size(); ++l) {
-      const obs::ThreadLayerScope layer_scope(static_cast<std::int64_t>(l));
-      // Step 6: compute the assigned output partition (Algorithm 1,
-      // or whatever kernel the executor substitutes). If the previous
-      // iteration overlapped this layer's attention prologue with its
-      // gather, resume from it — bitwise-identical chains either way.
-      Tensor part(0, 0);
-      {
-        obs::TraceSpan span(tracer, "layer", "compute",
-                            static_cast<obs::TrackId>(i));
-        if (span.enabled()) {
-          const AttentionDims dims{.n = n,
-                                   .p = ranges[l][i].size(),
-                                   .f = config.hidden,
-                                   .fh = config.head_dim};
-          span.device(static_cast<std::int64_t>(i))
-              .layer(static_cast<std::int64_t>(l))
-              .tag(to_string(select_order(policy_, dims)));
-        }
-        part = executor_ ? executor_(l, *input, ranges[l][i], policy_)
-             : int8     ? qstack_->partition_forward(l, *input,
-                                                     ranges[l][i], policy_)
-                        : partitioned_layer_forward(
-                              layers[l], *input, ranges[l][i], policy_,
-                              have_prologue ? &prologue : nullptr);
-      }
-      have_prologue = false;
-      // Park the partition in a shared holder; outgoing messages borrow
-      // its rows instead of serializing them.
-      auto& holder = holders[l % 2];
-      if (holder.use_count() == 1) {
-        *holder = std::move(part);
-      } else {
-        holder = std::make_shared<Tensor>(std::move(part));
-      }
-      if (l + 1 == layers.size()) {
-        // Step 8: last layer goes straight to the terminal.
-        Payload payload = tensor_payload_view(holder);
-        obs::TraceSpan span(tracer, "send_final", "comm",
-                            static_cast<obs::TrackId>(i));
-        span.device(static_cast<std::int64_t>(i))
-            .layer(static_cast<std::int64_t>(l))
-            .bytes(static_cast<std::int64_t>(payload.size() +
-                                             kWireFrameBytes));
-        transport.send(Message{.source = i,
-                                 .destination = terminal,
-                                 .tag = kTagFinal,
-                                 .payload = std::move(payload)});
-      } else {
-        // Steps 10-13: post the zero-copy gather, overlap the next
-        // layer's Q-chain (which reads only rows this device already
-        // owns) with the in-flight peer rows, then block for the rest.
-        const Range own = ranges[l][i];
-        AllGatherInto gather(transport, workers, i, holder, ranges[l],
-                             seq[l % 2], kTagLayerBase + l, recv_opts,
-                             wire);
-        const Range next = ranges[l + 1][i];
-        if (overlap_ && !executor_ && !int8 && !next.empty() &&
-            own.begin <= next.begin && next.end <= own.end) {
-          obs::TraceSpan span(tracer, "overlap_compute", "compute",
-                              static_cast<obs::TrackId>(i));
-          span.device(static_cast<std::int64_t>(i))
-              .layer(static_cast<std::int64_t>(l + 1));
-          const Tensor xp = holder->slice_rows(next.begin - own.begin,
-                                               next.end - own.begin);
-          prologue = attention_prologue(xp, n, next,
-                                        layers[l + 1].weights().attention,
-                                        config, policy_);
-          have_prologue = true;
-        }
-        gather.wait();
-        input = &seq[l % 2];
-      }
-    }
+    std::shared_ptr<const Tensor> last =
+        run_device_layers(transport, workers, i, layers, x, ranges, policy_,
+                          executor_, int8, kTagLayerBase, recv_opts);
+    // Step 8: the last layer's partition goes straight to the terminal.
+    Payload payload = tensor_payload_view(std::move(last));
+    obs::TraceSpan span(tracer, "send_final", "comm",
+                        static_cast<obs::TrackId>(i));
+    span.device(static_cast<std::int64_t>(i))
+        .layer(static_cast<std::int64_t>(layers.size() - 1))
+        .bytes(static_cast<std::int64_t>(payload.size() + kWireFrameBytes));
+    transport.send(Message{.source = i,
+                           .destination = terminal,
+                           .tag = kTagFinal,
+                           .payload = std::move(payload)});
   };
 
   // Terminal role: distribute features, collect final partitions, and
@@ -264,6 +182,102 @@ Tensor VoltageRuntime::run(Tensor features) {
 
   mesh_->run(device_part, terminal_part);
   return result;
+}
+
+std::shared_ptr<const Tensor> run_device_layers(
+    Transport& transport, const std::vector<DeviceId>& workers,
+    std::size_t i, std::span<const TransformerLayer> layers, const Tensor& x,
+    const std::vector<std::vector<Range>>& ranges, OrderPolicy policy,
+    const PartitionExecutor& executor, const QuantizedStack* int8,
+    MessageTag tag_base, const RecvOptions& options,
+    const BeforeLayer& before_layer) {
+  const std::size_t n = x.rows();
+  const std::size_t f = x.cols();
+  const bool fp32 = !executor && int8 == nullptr;
+  const Precision wire =
+      !executor && int8 != nullptr ? Precision::kInt8 : Precision::kFp32;
+  obs::Tracer* const tracer = obs::thread_tracer();
+  // Comm-path buffers, allocated once and reused for every layer: two
+  // full-sequence buffers (gather l writes seq[l%2] while layer l still
+  // reads its input from seq[(l-1)%2]) and two shared partition holders
+  // whose storage outgoing payloads borrow. holders[l%2] is safe to reuse
+  // at layer l+2: completing gather l+1 means every peer finished gather l
+  // first, i.e. consumed the layer-l message, and that consumption
+  // happens-before our reuse via the mailbox mutex chain. The use_count
+  // check below is a defensive fallback (e.g. a slow terminal still holding
+  // the final payload) — it never fires in the steady-state layer loop,
+  // which therefore performs zero heap allocations on the comm path.
+  std::array<Tensor, 2> seq{Tensor(n, f), Tensor(n, f)};
+  std::array<std::shared_ptr<Tensor>, 2> holders{
+      std::make_shared<Tensor>(0, 0), std::make_shared<Tensor>(0, 0)};
+  const Tensor* input = &x;
+  AttentionPrologue prologue;
+  bool have_prologue = false;
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    const obs::ThreadLayerScope layer_scope(static_cast<std::int64_t>(l));
+    if (before_layer) before_layer(l, *input);
+    const Range own = ranges[l][i];
+    // Step 6: compute the assigned output partition (Algorithm 1, or
+    // whatever kernel replaces it). If the previous iteration overlapped
+    // this layer's attention prologue with its gather, resume from it.
+    Tensor part(0, 0);
+    {
+      obs::TraceSpan span(tracer, "layer", "compute",
+                          static_cast<obs::TrackId>(i));
+      if (span.enabled()) {
+        const LayerConfig& config = layers[l].config();
+        const AttentionDims dims{.n = n,
+                                 .p = own.size(),
+                                 .f = config.hidden,
+                                 .fh = config.head_dim};
+        const char* const order = to_string(select_order(policy, dims));
+        span.device(static_cast<std::int64_t>(i))
+            .layer(static_cast<std::int64_t>(l))
+            .tag(wire == Precision::kInt8 ? std::string("int8 ") + order
+                                          : std::string(order));
+      }
+      part = executor   ? executor(l, *input, own, policy)
+           : int8       ? int8->partition_forward(l, *input, own, policy)
+                        : partitioned_layer_forward(
+                              layers[l], *input, own, policy,
+                              have_prologue ? &prologue : nullptr);
+    }
+    have_prologue = false;
+    // Park the partition in a shared holder; outgoing messages borrow its
+    // rows instead of serializing them.
+    auto& holder = holders[l % 2];
+    if (holder.use_count() == 1) {
+      *holder = std::move(part);
+    } else {
+      holder = std::make_shared<Tensor>(std::move(part));
+    }
+    if (l + 1 == layers.size()) return holder;
+    // Steps 10-13: post the zero-copy gather, overlap the next layer's
+    // Q-chain (Eq. (8) reads only x_p) with the in-flight peer rows, then
+    // block for the rest.
+    AllGatherInto gather(transport, workers, i, holder, ranges[l],
+                         seq[l % 2], tag_base + l, options, wire);
+    const Range next = ranges[l + 1][i];
+    if (fp32 && !next.empty() && own.begin <= next.begin &&
+        next.end <= own.end) {
+      obs::TraceSpan span(tracer, "overlap_compute", "compute",
+                          static_cast<obs::TrackId>(i));
+      span.device(static_cast<std::int64_t>(i))
+          .layer(static_cast<std::int64_t>(l + 1));
+      Tensor sliced(0, 0);
+      if (next != own) {
+        sliced = holder->slice_rows(next.begin - own.begin,
+                                    next.end - own.begin);
+      }
+      prologue = attention_prologue(next == own ? *holder : sliced, n, next,
+                                    layers[l + 1].weights().attention,
+                                    layers[l + 1].config(), policy);
+      have_prologue = true;
+    }
+    gather.wait();
+    input = &seq[l % 2];
+  }
+  throw std::invalid_argument("run_device_layers: no layers");
 }
 
 }  // namespace voltage

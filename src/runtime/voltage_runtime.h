@@ -34,6 +34,32 @@ namespace voltage {
 using PartitionExecutor = std::function<Tensor(
     std::size_t layer, const Tensor& x, Range p, OrderPolicy policy)>;
 
+// Runs on the device thread before layer `layer` computes, with that
+// layer's full input (see run_device_layers).
+using BeforeLayer =
+    std::function<void(std::size_t layer, const Tensor& input)>;
+
+// Algorithm 2's device loop (steps 6-13), the one every partitioned
+// prefill runs. For each layer l, device `i` of `workers` computes its
+// output partition ranges[l][i] from the layer's full input (x for layer
+// 0), then all-gathers the partitions into the next layer's input on tag
+// tag_base + l. The last layer is not gathered: its partition comes back
+// for the caller to send on.
+//
+// The kernel is `executor` when non-empty, else the int8 stack when `int8`
+// is non-null (the gathers then ship int8 rows), else float Algorithm 1.
+// On the float path each gather overlaps the next layer's attention
+// prologue, which reads only rows this device already owns, whenever
+// ranges[l+1][i] lies inside ranges[l][i]; the output is bitwise identical
+// either way. `before_layer`, when set, runs first in every layer.
+[[nodiscard]] std::shared_ptr<const Tensor> run_device_layers(
+    Transport& transport, const std::vector<DeviceId>& workers,
+    std::size_t i, std::span<const TransformerLayer> layers, const Tensor& x,
+    const std::vector<std::vector<Range>>& ranges, OrderPolicy policy,
+    const PartitionExecutor& executor, const QuantizedStack* int8,
+    MessageTag tag_base, const RecvOptions& options,
+    const BeforeLayer& before_layer = {});
+
 class VoltageRuntime {
  public:
   // `scheme.devices()` worker devices will be simulated as threads; every
@@ -113,16 +139,6 @@ class VoltageRuntime {
     mesh_->transport().set_flight_recorder(recorder);
   }
 
-  // Comm/compute overlap (default on): while a layer's all-gather is in
-  // flight, each device computes the next layer's attention prologue from
-  // the rows it already owns (Eq. (8)'s Q-chain depends only on x_p). Off
-  // switches to the plain gather-then-compute schedule — useful for A/B
-  // timing; results are bitwise identical either way. Overlap is skipped
-  // automatically when a custom PartitionExecutor is installed or when the
-  // next layer's partition is not covered by this device's current rows.
-  void set_overlap(bool enabled) noexcept { overlap_ = enabled; }
-  [[nodiscard]] bool overlap() const noexcept { return overlap_; }
-
   // Per-request receive budget in seconds (default 0: wait forever). When
   // set, every blocking receive of a run — broadcast, layer gathers, the
   // terminal's final collect — shares one absolute deadline computed at
@@ -175,7 +191,6 @@ class VoltageRuntime {
   std::unique_ptr<QuantizedStack> qstack_;  // built by set_precision(kInt8)
   std::shared_ptr<Mesh> mesh_;
   double recv_timeout_seconds_ = 0.0;  // <= 0: no deadline
-  bool overlap_ = true;
 };
 
 }  // namespace voltage

@@ -104,8 +104,8 @@ class FleetSim {
     ++offered_;
     output_token_sum_ += static_cast<double>(r.output_tokens);
     demand_seconds_ += cfg_.mesh.prefill_time(r.prompt_tokens) +
-                       static_cast<double>(r.output_tokens) /
-                           cfg_.mesh.saturated_tokens_per_s();
+                       static_cast<double>(r.output_tokens) *
+                           cfg_.mesh.token_time(cfg_.max_batch);
     bool reject = false;
     const std::size_t m = pick_mesh(r, reject);
     if (reject || meshes_[m].queue.size() >= cfg_.max_queue_per_mesh) {

@@ -11,6 +11,11 @@
 // are tracked through obs::Histogram, so the simulator's percentiles are
 // bit-identical to what the live server's metrics would report on the same
 // samples.
+//
+// One mesh also answers single-queue questions: a one-lane mesh whose one
+// step is a whole request is an M/D/1 queue, and an S-lane mesh stepping at
+// a pipeline's bottleneck stage, with S-token requests, is that pipeline
+// (bench/ablation_strategies prices each deployment strategy this way).
 #pragma once
 
 #include <cstdint>
@@ -49,9 +54,10 @@ struct FleetReport {
   double achieved_rps = 0.0;  // completed / makespan
   double tokens_per_s = 0.0;  // generated tokens / makespan
   // rho: mesh-seconds demanded by the offered traffic (prefill + decode
-  // slot-steps at the saturated rate) over mesh-seconds available. The
-  // queue is unstable at rho >= 1: percentiles then depend on how long you
-  // watch, and the planner refuses such operating points.
+  // slot-steps priced at max_batch lanes, MeshModel::token_time) over
+  // mesh-seconds available. The queue is unstable at rho >= 1: percentiles
+  // then depend on how long you watch, and the planner refuses such
+  // operating points.
   double offered_load = 0.0;
   bool stable = false;
   double mean_mesh_utilization = 0.0;  // busy fraction of makespan, <= 1

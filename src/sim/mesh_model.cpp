@@ -149,6 +149,11 @@ double MeshModel::saturated_tokens_per_s() const {
   return (top.batch / top.step_time) * spec_tokens_ / spec_rows_;
 }
 
+Seconds MeshModel::token_time(std::size_t lanes) const {
+  const auto b = static_cast<double>(lanes);
+  return step_time(b) / (b * spec_tokens_);
+}
+
 double MeshModel::max_calibrated_batch() const {
   // In lanes: window rows eat into the calibrated row budget.
   return std::max(1.0, curve_.back().batch / spec_rows_);

@@ -87,8 +87,15 @@ class MeshModel {
   [[nodiscard]] Seconds prefill_time(std::size_t prompt_tokens) const;
 
   // Decode throughput when every step runs at the largest calibrated
-  // batch — the capacity the planner's stability bound uses.
+  // batch.
   [[nodiscard]] double saturated_tokens_per_s() const;
+
+  // Mesh-seconds one committed token costs when `lanes` sequences share
+  // every step: step_time(lanes) / (lanes * tokens_per_step()). A mesh
+  // capped at `lanes` concurrent sequences never runs a wider step, so
+  // this, not the curve's top point, prices its demand in the stability
+  // bound (sim/fleet.h, tools/capacity_planner).
+  [[nodiscard]] Seconds token_time(std::size_t lanes) const;
 
   [[nodiscard]] double max_calibrated_batch() const;
   [[nodiscard]] std::size_t devices() const noexcept { return devices_; }

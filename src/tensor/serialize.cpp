@@ -94,7 +94,11 @@ std::vector<std::byte> to_bytes(const Tensor& t) {
   const std::uint64_t cols = t.cols();
   std::memcpy(out.data(), &rows, sizeof(rows));
   std::memcpy(out.data() + sizeof(rows), &cols, sizeof(cols));
-  std::memcpy(out.data() + kTensorWireHeaderBytes, t.data(), t.byte_size());
+  // An empty tensor's data() may be null, which memcpy must never see,
+  // even for zero bytes (a ring chunk of a one-row tensor is empty).
+  if (t.byte_size() != 0) {
+    std::memcpy(out.data() + kTensorWireHeaderBytes, t.data(), t.byte_size());
+  }
   return out;
 }
 
@@ -116,7 +120,7 @@ Tensor tensor_from_bytes(std::span<const std::byte> bytes) {
   const auto data = bytes.subspan(kTensorWireHeaderBytes);
   if (shape.quantized) {
     dequantize_body(data, t.data(), shape.rows, shape.cols);
-  } else {
+  } else if (t.byte_size() != 0) {
     std::memcpy(t.data(), data.data(), t.byte_size());
   }
   return t;
@@ -128,7 +132,7 @@ Tensor tensor_from_payload(const Payload& payload) {
   Tensor t(shape.rows, shape.cols);
   if (shape.quantized) {
     dequantize_body(payload_data(payload), t.data(), shape.rows, shape.cols);
-  } else {
+  } else if (t.byte_size() != 0) {
     std::memcpy(t.data(), payload_data(payload).data(), t.byte_size());
   }
   return t;

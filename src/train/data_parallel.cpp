@@ -1,10 +1,11 @@
 #include "train/data_parallel.h"
 
+#include <memory>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 
 #include "collective/collectives.h"
+#include "net/fabric.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 #include "train/loss.h"
@@ -19,7 +20,7 @@ DataParallelTrainer::DataParallelTrainer(LayerConfig config,
                                          std::uint64_t seed)
     : config_(config),
       num_classes_(num_classes),
-      fabric_(devices == 0 ? 1 : devices) {
+      mesh_(std::make_unique<Fabric>(devices + 1)) {
   config_.validate();
   if (num_layers == 0 || num_classes == 0 || devices == 0) {
     throw std::invalid_argument("DataParallelTrainer: zero-sized argument");
@@ -120,24 +121,21 @@ float DataParallelTrainer::step(std::span<const Sample> samples,
   }
   std::vector<DeviceId> group(k);
   std::iota(group.begin(), group.end(), DeviceId{0});
-  const MessageTag tag = 1 + 64 * static_cast<MessageTag>(steps_);
 
   std::vector<float> losses(k);
-  std::vector<std::thread> threads;
-  threads.reserve(k);
   const float inv_k = 1.0F / static_cast<float>(k);
-  for (std::size_t d = 0; d < k; ++d) {
-    threads.emplace_back([&, d] {
-      SampleGrads grads = sample_grads(replicas_[d], samples[d]);
-      losses[d] = grads.loss;
-      Tensor summed = k == 1 ? std::move(grads.flat)
-                             : ring_all_reduce_sum(fabric_, group, d,
-                                                   std::move(grads.flat), tag);
-      scale_inplace(summed, inv_k);
-      apply_flat(replicas_[d], summed, learning_rate);
-    });
-  }
-  for (std::thread& t : threads) t.join();
+  const auto device_part = [&](std::size_t d) {
+    SampleGrads grads = sample_grads(replicas_[d], samples[d]);
+    losses[d] = grads.loss;
+    // One tag serves every step: a mesh run drains its own messages.
+    Tensor summed = k == 1 ? std::move(grads.flat)
+                           : ring_all_reduce_sum(mesh_.transport(), group, d,
+                                                 std::move(grads.flat),
+                                                 MessageTag{1});
+    scale_inplace(summed, inv_k);
+    apply_flat(replicas_[d], summed, learning_rate);
+  };
+  mesh_.run(device_part, [] {});
   ++steps_;
 
   float mean = 0.0F;

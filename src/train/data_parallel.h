@@ -1,19 +1,22 @@
 // Replicated-weights data-parallel trainer — the paper's §V-C training
 // story as a reusable component.
 //
-// K device threads each hold a full replica of a small transformer stack
-// plus a mean-pool linear classifier. Every step, device d computes the
-// gradients of ITS sample, the flattened gradients are ring-all-reduced
-// (the once-per-batch weight synchronization §V-C describes), and each
-// replica applies the identical averaged update — so the replicas stay
-// bit-identical forever, which the tests assert.
+// K devices each hold a full replica of a small transformer stack plus a
+// mean-pool linear classifier. Every step is one run on a persistent Mesh
+// (runtime/mesh.h): device d computes the gradients of ITS sample, the
+// flattened gradients are ring-all-reduced (the once-per-batch weight
+// synchronization §V-C describes), and each replica applies the identical
+// averaged update — so the replicas stay bit-identical forever, which the
+// tests assert. A step that fails on any device fails as a whole with the
+// root cause, and the trainer is dead afterwards (the mesh's containment):
+// every later step throws std::logic_error.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "net/fabric.h"
+#include "runtime/mesh.h"
 #include "tensor/tensor.h"
 #include "train/stack_backward.h"
 #include "transformer/layer.h"
@@ -46,7 +49,11 @@ class DataParallelTrainer {
   [[nodiscard]] std::size_t steps_taken() const noexcept { return steps_; }
   // Max abs difference between two replicas' weights (0 when in lockstep).
   [[nodiscard]] float replica_divergence() const;
-  [[nodiscard]] const Fabric& fabric() const noexcept { return fabric_; }
+  // Byte-accurate gradient traffic since construction (devices 0..K-1;
+  // endpoint K is the mesh's idle terminal).
+  [[nodiscard]] const Transport& fabric() const noexcept {
+    return mesh_.transport();
+  }
 
  private:
   struct Replica {
@@ -68,8 +75,8 @@ class DataParallelTrainer {
   LayerConfig config_;
   std::size_t num_classes_;
   std::vector<Replica> replicas_;
-  Fabric fabric_;
   std::size_t steps_ = 0;
+  Mesh mesh_;  // last: its workers stop before the replicas die
 };
 
 }  // namespace voltage

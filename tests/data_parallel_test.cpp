@@ -1,6 +1,7 @@
 // Tests of the stack backward and the replicated-weights data-parallel
 // trainer (§V-C training story).
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -157,6 +158,25 @@ TEST(DataParallelTrainer, MatchesSingleDeviceBatchTraining) {
   (void)replica.step(batch, 0.1F);
   const Tensor probe = data.normal_tensor(6, tiny_config().hidden, 1.0F);
   EXPECT_EQ(distributed.predict(probe), replica.predict(probe));
+}
+
+TEST(DataParallelTrainer, FailedStepThrowsRootCauseAndKillsTheTrainer) {
+  // One malformed sample fails its device inside the step; its peers are
+  // blocked in the gradient ring. The step must surface the device's own
+  // error (not the peers' closed-transport errors, and not a crashed
+  // process), every later step must refuse to run, and destruction must
+  // still join every device.
+  auto trainer =
+      std::make_unique<DataParallelTrainer>(tiny_config(), 1, 2, 3, 1);
+  Rng data(17);
+  std::vector<DataParallelTrainer::Sample> batch;
+  for (std::size_t d = 0; d < 3; ++d) batch.push_back(make_sample(data, 0));
+  batch[1].x = data.normal_tensor(6, tiny_config().hidden + 1, 0.3F);
+  EXPECT_THROW((void)trainer->step(batch, 0.1F), std::invalid_argument);
+  batch[1] = make_sample(data, 1);
+  EXPECT_THROW((void)trainer->step(batch, 0.1F), std::logic_error);
+  EXPECT_EQ(trainer->steps_taken(), 0U);
+  trainer.reset();
 }
 
 TEST(DataParallelTrainer, Validation) {

@@ -247,6 +247,37 @@ TEST_P(PartitionedLayer, MatchesFullLayerRows) {
   }
 }
 
+TEST_P(PartitionedLayer, PrologueResumeIsBitwiseIdentical) {
+  // The runtimes compute the next layer's attention prologue while its
+  // input is still being gathered and resume from it: the output must be
+  // bit for bit the output without one, for any range, empty and edge
+  // ranges included, with and without a causal mask.
+  for (const bool causal : {false, true}) {
+    Rng rng(26);
+    const LayerConfig cfg = test_config(causal);
+    const TransformerLayer layer(cfg, init_layer_weights(cfg, rng));
+    const std::size_t n = 19;
+    const Tensor x = rng.normal_tensor(n, cfg.hidden, 1.0F);
+    for (const Range p : {Range{0, 0}, Range{0, 1}, Range{0, 7},
+                          Range{7, 13}, Range{18, 19}, Range{19, 19},
+                          Range{0, 19}}) {
+      const AttentionPrologue prologue =
+          attention_prologue(x.slice_rows(p.begin, p.end), n, p,
+                             layer.weights().attention, cfg, GetParam());
+      const Tensor plain = partitioned_layer_forward(layer, x, p, GetParam());
+      const Tensor resumed =
+          partitioned_layer_forward(layer, x, p, GetParam(), &prologue);
+      ASSERT_EQ(resumed.rows(), p.size());
+      ASSERT_EQ(resumed.cols(), plain.cols());
+      for (std::size_t i = 0; i < plain.size(); ++i) {
+        ASSERT_EQ(resumed.flat()[i], plain.flat()[i])
+            << "causal=" << causal << " range [" << p.begin << ", " << p.end
+            << ") element " << i;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Policies, PartitionedLayer,
                          ::testing::Values(OrderPolicy::kAdaptive,
                                            OrderPolicy::kAlwaysNaive,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "collective/cost.h"
+#include "partition/partitioned_layer.h"
 #include "runtime/tensor_parallel_runtime.h"
 #include "runtime/voltage_runtime.h"
 #include "tensor/serialize.h"
@@ -57,17 +58,22 @@ TEST(VoltageRuntime, FixedOrderPoliciesAgree) {
 }
 
 TEST(VoltageRuntime, OverlapIsBitwiseInvariant) {
-  // The gather/compute overlap reorders scheduling only, never FP summation:
-  // with overlap on or off, at any K and under both fixed order policies,
-  // distributed output must be bit-for-bit the same.
+  // The gather/compute overlap reorders scheduling only, never FP summation.
+  // The executor path never overlaps, so a default runtime (which does)
+  // and one whose executor is the plain Algorithm 1 kernel must be bit for
+  // bit the same at any K and under both fixed order policies.
   const TransformerModel model = make_model(mini_bert_spec());
   const auto tokens = random_tokens(27, model.spec().vocab_size, 31);
+  const auto layers = model.layers();
   for (const auto policy :
        {OrderPolicy::kAlwaysNaive, OrderPolicy::kAlwaysReordered}) {
     for (const std::size_t k : {2U, 3U}) {
       VoltageRuntime with_overlap(model, PartitionScheme::even(k), policy);
       VoltageRuntime without(model, PartitionScheme::even(k), policy);
-      without.set_overlap(false);
+      without.set_partition_executor(
+          [&](std::size_t l, const Tensor& x, Range p, OrderPolicy order) {
+            return partitioned_layer_forward(layers[l], x, p, order);
+          });
       const Tensor a = with_overlap.infer(tokens);
       const Tensor b = without.infer(tokens);
       ASSERT_EQ(a.rows(), b.rows());

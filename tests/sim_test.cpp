@@ -3,6 +3,7 @@
 // homogeneous case, plus the fleet-scale serving stack: RNG sampling
 // hygiene, percentile-convention consistency with obs::Histogram, traffic
 // generators, the calibrated mesh model, and the fleet simulator.
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -10,6 +11,7 @@
 
 #include "collective/cost.h"
 #include "obs/metrics.h"
+#include "obs/percentile.h"
 #include "parallel/latency_model.h"
 #include "sim/cluster.h"
 #include "sim/device.h"
@@ -17,7 +19,6 @@
 #include "sim/fleet.h"
 #include "sim/mesh_model.h"
 #include "sim/netsim.h"
-#include "sim/serving.h"
 #include "sim/traffic.h"
 #include "tensor/rng.h"
 
@@ -239,9 +240,10 @@ TEST(Rng, SampleExponentialMatchesRateAndValidates) {
 // --- percentile convention ---------------------------------------------------
 
 TEST(Percentiles, SimSummaryBitIdenticalToObsHistogram) {
-  // Same samples through the simulator's summary and obs::Histogram must
-  // agree bit for bit — one nearest-rank helper serves both. Awkward n
-  // values are exactly where floor(q*(n-1)) and ceil(q*n)-1 diverged.
+  // The simulators report through obs::Histogram and the server summarizes
+  // its own samples with obs::nearest_rank: on the same samples the two
+  // must agree bit for bit. Awkward n values are exactly where
+  // floor(q*(n-1)) and ceil(q*n)-1 diverged.
   for (const std::size_t n : {1UL, 3UL, 10UL, 99UL, 100UL, 101UL, 1237UL}) {
     Rng rng(n);
     std::vector<double> samples(n);
@@ -250,13 +252,15 @@ TEST(Percentiles, SimSummaryBitIdenticalToObsHistogram) {
       s = rng.next_uniform_double() * 10.0;
       hist.record(s);
     }
-    const ServingReport rep = summarize_samples(samples);
+    std::sort(samples.begin(), samples.end());
+    double sum = 0.0;
+    for (const double s : samples) sum += s;
     const obs::HistogramSnapshot snap = hist.snapshot();
-    EXPECT_EQ(rep.p50, snap.p50) << "n=" << n;
-    EXPECT_EQ(rep.p95, snap.p95) << "n=" << n;
-    EXPECT_EQ(rep.p99, snap.p99) << "n=" << n;
-    EXPECT_EQ(rep.max, snap.max) << "n=" << n;
-    EXPECT_DOUBLE_EQ(rep.mean, snap.mean) << "n=" << n;
+    EXPECT_EQ(obs::nearest_rank(samples, 0.50), snap.p50) << "n=" << n;
+    EXPECT_EQ(obs::nearest_rank(samples, 0.95), snap.p95) << "n=" << n;
+    EXPECT_EQ(obs::nearest_rank(samples, 0.99), snap.p99) << "n=" << n;
+    EXPECT_EQ(samples.back(), snap.max) << "n=" << n;
+    EXPECT_DOUBLE_EQ(sum / static_cast<double>(n), snap.mean) << "n=" << n;
   }
 }
 
@@ -269,26 +273,170 @@ TEST(Percentiles, NearestRankExactSmallN) {
     ten.push_back(i);
     hist.record(i);
   }
-  const ServingReport rep = summarize_samples(ten);
-  EXPECT_EQ(rep.p50, 5.0);
-  EXPECT_EQ(rep.p95, 10.0);
-  EXPECT_EQ(rep.p99, 10.0);
+  EXPECT_EQ(obs::nearest_rank(ten, 0.50), 5.0);
+  EXPECT_EQ(obs::nearest_rank(ten, 0.95), 10.0);
+  EXPECT_EQ(obs::nearest_rank(ten, 0.99), 10.0);
   EXPECT_EQ(hist.snapshot().p95, 10.0);
 }
 
-// --- single-queue serving model against theory ------------------------------
+// --- one queue per strategy, on the fleet simulator --------------------------
+//
+// A strategy that serves one request at a time in `step` seconds (single
+// device, Voltage, tensor parallelism) is a one-lane mesh whose one step
+// is the whole request: an M/D/1 queue under Poisson arrivals. A pipeline
+// of `stages` stages whose slowest stage takes `step` is a `stages`-lane
+// mesh stepping at the bottleneck, and a request is `stages` tokens: it
+// joins at a step boundary and leaves `stages` steps later. Prefill is
+// priced at 1e15 tokens/s, i.e. free.
+
+FleetConfig strategy_mesh(Seconds step, std::size_t stages = 1) {
+  std::vector<StepPoint> curve{StepPoint{.batch = 1.0, .step_time = step}};
+  if (stages > 1) {
+    curve.push_back(StepPoint{.batch = static_cast<double>(stages),
+                              .step_time = step});
+  }
+  return FleetConfig{
+      .num_meshes = 1,
+      .mesh = MeshModel(1, std::move(curve), 1e15, 0.0, LinkModel{}),
+      .max_batch = stages};
+}
+
+OpenLoopTraffic poisson(double rate, std::size_t n = 4000,
+                        std::uint64_t seed = 1, std::size_t stages = 1) {
+  return OpenLoopTraffic{.base_rate_rps = rate,
+                         .diurnal = {},
+                         .prompt = LengthDistribution::fixed(1),
+                         .output = LengthDistribution::fixed(stages),
+                         .num_requests = n,
+                         .seed = seed};
+}
 
 TEST(Serving, MD1MeanSojournMatchesTheory) {
-  // M/D/1 at rho = 0.5: E[sojourn] = s + rho*s / (2*(1 - rho)) = 1.5 s.
+  // M/D/1 (Pollaczek-Khinchine): E[sojourn] = s + rho*s / (2*(1 - rho)),
+  // i.e. 1.125 / 1.5 / 3.0 s at rho = 0.2 / 0.5 / 0.8 with s = 1.
   const double s = 1.0;
-  const ServingReport r = simulate_serving(
-      s, ArrivalProcess{.rate_rps = 0.5, .num_requests = 400000, .seed = 11});
-  EXPECT_NEAR(r.mean, 1.5, 1.5 * 0.02);
+  for (const double rho : {0.2, 0.5, 0.8}) {
+    const FleetReport r =
+        simulate_fleet(strategy_mesh(s), poisson(rho / s, 400000, 11));
+    const double theory = s + rho * s / (2.0 * (1.0 - rho));
+    EXPECT_NEAR(r.e2e.mean, theory, theory * 0.02) << "rho=" << rho;
+    EXPECT_TRUE(r.stable);
+    // rho is the measured arrival rate times the service time (prefill is
+    // free), which converges to the nominal rho.
+    EXPECT_NEAR(r.offered_load, s * r.offered_rps, 1e-9);
+    EXPECT_NEAR(r.offered_load, rho, 0.01);
+    // Over a long horizon the achieved busy fraction converges to rho.
+    EXPECT_NEAR(r.mean_mesh_utilization, rho, 0.02);
+    EXPECT_NEAR(r.achieved_rps, rho / s, 0.02);
+  }
+}
+
+TEST(Serving, LightLoadSojournIsServiceTime) {
+  // At negligible utilization nearly every request finds the server idle.
+  const FleetReport r = simulate_fleet(strategy_mesh(0.5), poisson(0.01));
+  EXPECT_NEAR(r.e2e.p50, 0.5, 1e-6);
+  EXPECT_LT(r.e2e.p99, 1.5);
+  EXPECT_LT(r.offered_load, 0.01);
   EXPECT_TRUE(r.stable);
-  EXPECT_NEAR(r.offered_load, 0.5, 1e-12);
-  // Over a long horizon the achieved busy fraction converges to rho.
-  EXPECT_NEAR(r.utilization, 0.5, 0.02);
-  EXPECT_NEAR(r.throughput_rps, 0.5, 0.02);
+}
+
+TEST(Serving, SojournNeverBelowServiceTime) {
+  const FleetReport r = simulate_fleet(strategy_mesh(0.7), poisson(1.0));
+  EXPECT_GE(r.e2e.p50, 0.7);
+  EXPECT_GE(r.e2e.mean, 0.7);
+  EXPECT_GE(r.e2e.max, r.e2e.p99);
+  EXPECT_GE(r.e2e.p99, r.e2e.p95);
+  EXPECT_GE(r.e2e.p95, r.e2e.p50);
+}
+
+TEST(Serving, QueueingDelayGrowsWithLoad) {
+  const FleetReport light = simulate_fleet(strategy_mesh(0.5), poisson(0.4));
+  const FleetReport heavy = simulate_fleet(strategy_mesh(0.5), poisson(1.8));
+  EXPECT_GT(heavy.e2e.mean, light.e2e.mean);
+  EXPECT_GT(heavy.e2e.p99, light.e2e.p99);
+  // rho prices each offered request at exactly one 0.5 s step (prefill is
+  // free): the measured arrival rate times the service time.
+  EXPECT_NEAR(light.offered_load, 0.5 * light.offered_rps, 1e-9);
+  EXPECT_NEAR(heavy.offered_load, 0.5 * heavy.offered_rps, 1e-9);
+  EXPECT_NEAR(light.offered_rps, 0.4, 0.4 * 0.05);
+  EXPECT_NEAR(heavy.offered_rps, 1.8, 1.8 * 0.05);
+  // Achieved utilization is a busy fraction: below the offered load only
+  // by the idle tail after the last arrival, and never above 1.
+  EXPECT_LE(light.mean_mesh_utilization, 1.0);
+  EXPECT_LE(heavy.mean_mesh_utilization, 1.0);
+  EXPECT_TRUE(heavy.stable);
+}
+
+TEST(Serving, OverloadedQueueDiverges) {
+  // rho > 1: the backlog grows with the number of requests observed.
+  const FleetReport small =
+      simulate_fleet(strategy_mesh(1.0), poisson(1.5, 500, 3));
+  const FleetReport large =
+      simulate_fleet(strategy_mesh(1.0), poisson(1.5, 5000, 3));
+  EXPECT_GT(large.e2e.max, 3.0 * small.e2e.max);
+  // The busy fraction saturates at 1, the offered load is explicit, and
+  // the stable flag says the percentiles above are not steady-state
+  // numbers.
+  EXPECT_GT(large.offered_load, 1.0);
+  EXPECT_FALSE(large.stable);
+  EXPECT_LE(large.mean_mesh_utilization, 1.0);
+  EXPECT_GT(large.mean_mesh_utilization, 0.99);  // saturated, never idle
+  // Achieved throughput pins at the service rate, not the offered rate.
+  EXPECT_NEAR(large.achieved_rps, 1.0, 0.02);
+}
+
+TEST(Serving, FasterServiceImprovesTail) {
+  // A strategy that halves latency more than halves the loaded p99 —
+  // exactly why Voltage matters in the paper's serving regime.
+  const FleetReport slow =
+      simulate_fleet(strategy_mesh(1.0), poisson(0.8, 4000, 7));
+  const FleetReport fast =
+      simulate_fleet(strategy_mesh(0.5), poisson(0.8, 4000, 7));
+  EXPECT_LT(fast.e2e.p99, 0.5 * slow.e2e.p99);
+}
+
+TEST(Serving, DeterministicAcrossRuns) {
+  const FleetReport a =
+      simulate_fleet(strategy_mesh(0.5), poisson(1.0, 1000, 9));
+  const FleetReport b =
+      simulate_fleet(strategy_mesh(0.5), poisson(1.0, 1000, 9));
+  EXPECT_EQ(a.e2e.p99, b.e2e.p99);
+  const FleetReport c =
+      simulate_fleet(strategy_mesh(0.5), poisson(1.0, 1000, 10));
+  EXPECT_NE(a.e2e.p99, c.e2e.p99);  // different arrival draw
+}
+
+TEST(PipelineServing, HighThroughputButFullLatencyFloor) {
+  // A 6-stage pipeline with a 0.45 s bottleneck admits quickly yet every
+  // request pays the 2.7 s trip through all stages.
+  const FleetReport pipe =
+      simulate_fleet(strategy_mesh(0.45, 6), poisson(1.5, 4000, 1, 6));
+  EXPECT_GE(pipe.e2e.p50, 2.7);
+  EXPECT_TRUE(pipe.stable);
+  EXPECT_NEAR(pipe.offered_load, 0.45 * pipe.offered_rps, 1e-9);
+  // A monolithic server with 1.0 s service collapses at the same load...
+  const FleetReport mono = simulate_fleet(strategy_mesh(1.0), poisson(1.5));
+  EXPECT_GT(mono.offered_load, 1.0);
+  EXPECT_FALSE(mono.stable);
+  EXPECT_GT(mono.e2e.p99, pipe.e2e.p99);
+  // ...while at light load the monolithic low-latency server wins the tail.
+  const FleetReport pipe_light =
+      simulate_fleet(strategy_mesh(0.45, 6), poisson(0.2, 4000, 1, 6));
+  const FleetReport mono_light =
+      simulate_fleet(strategy_mesh(1.0), poisson(0.2));
+  EXPECT_LT(mono_light.e2e.p99, pipe_light.e2e.p99);
+}
+
+TEST(Serving, Validation) {
+  EXPECT_THROW((void)strategy_mesh(0.0), std::invalid_argument);
+  EXPECT_THROW((void)simulate_fleet(strategy_mesh(1.0), poisson(0.0)),
+               std::invalid_argument);
+  EXPECT_THROW((void)simulate_fleet(strategy_mesh(1.0), poisson(1.0, 0)),
+               std::invalid_argument);
+  FleetConfig no_lanes = strategy_mesh(1.0);
+  no_lanes.max_batch = 0;
+  EXPECT_THROW((void)simulate_fleet(no_lanes, poisson(1.0)),
+               std::invalid_argument);
 }
 
 // --- traffic generators ------------------------------------------------------
@@ -476,6 +624,33 @@ TEST(Fleet, OverloadIsFlaggedUnstableAndShedsWhenQueuesCap) {
   // Achieved throughput saturates near one mesh's capacity, not the
   // offered rate.
   EXPECT_LT(r.achieved_rps, 1.2 * one_mesh_rps);
+}
+
+TEST(Fleet, StabilityBoundPricesDemandAtMaxBatch) {
+  // A flat curve (1 s per step at B = 1 and at B = 64) with one lane per
+  // mesh serves one token per second, whatever the curve's top point would
+  // allow: 1.5 req/s of one-token requests is an overload. Pricing demand
+  // at the top point (64 tokens/s) called it stable while the p50 sojourn
+  // ran into minutes.
+  const MeshModel flat(1,
+                       {StepPoint{.batch = 1.0, .step_time = 1.0},
+                        StepPoint{.batch = 64.0, .step_time = 1.0}},
+                       1e15, 0.0, LinkModel{});
+  const FleetConfig config{.num_meshes = 1, .mesh = flat, .max_batch = 1};
+  const FleetReport r = simulate_fleet(config, poisson(1.5, 2000, 5));
+  EXPECT_FALSE(r.stable);
+  EXPECT_GT(r.offered_load, 1.0);
+  EXPECT_NEAR(r.offered_load, 1.0 * r.offered_rps, 1e-9);
+  // At max_batch = 64 the same traffic fits: 1/64 s per token.
+  const FleetReport wide = simulate_fleet(
+      FleetConfig{.num_meshes = 1, .mesh = flat, .max_batch = 64},
+      poisson(1.5, 2000, 5));
+  EXPECT_TRUE(wide.stable);
+  EXPECT_NEAR(wide.offered_load, r.offered_load / 64.0, 1e-9);
+  // The default fleet (max_batch 16 on the B = 16 curve, no speculation)
+  // prices a token exactly as the saturated rate did.
+  const MeshModel bench = MeshModel::from_bench_serving();
+  EXPECT_DOUBLE_EQ(bench.token_time(16), 1.0 / bench.saturated_tokens_per_s());
 }
 
 TEST(Fleet, JoinShortestQueueBeatsRoundRobinTail) {

@@ -254,6 +254,10 @@ int main(int argc, char** argv) {
     print_usage(stderr, argv[0]);
     return 2;
   }
+  if (args.max_batch == 0) {
+    std::fprintf(stderr, "capacity_planner: --max-batch must be positive\n");
+    return 2;
+  }
 
   sim::MeshModel mesh = sim::MeshModel::from_bench_serving();
   // Speculation reshapes the compute/wire profile per step (window rows);
@@ -271,12 +275,13 @@ int main(int argc, char** argv) {
   const sim::LengthDistribution output = sim::LengthDistribution::lognormal(
       args.output_median, args.output_sigma, 1, args.output_max);
 
-  // Mean mesh-seconds one request demands: its prefill plus one
-  // saturated-rate slot-step per output token. rho(N) = target * demand / N.
+  // Mean mesh-seconds one request demands: its prefill plus one slot-step
+  // at max_batch lanes per output token, the rule the fleet's rho uses.
+  // rho(N) = target * demand / N.
   const double mean_demand_s =
       mesh.prefill_time(static_cast<std::size_t>(
           std::llround(prompt.empirical_mean(args.seed)))) +
-      output.empirical_mean(args.seed + 1) / mesh.saturated_tokens_per_s();
+      output.empirical_mean(args.seed + 1) * mesh.token_time(args.max_batch);
   const std::size_t min_meshes = static_cast<std::size_t>(
       std::floor(args.target_rps * mean_demand_s)) + 1;
 
