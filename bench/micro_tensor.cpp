@@ -2,10 +2,13 @@
 // attention evaluation paths — the kernels whose cost the Γ model predicts.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "core/thread_pool.h"
 #include "net/socket_fabric.h"
 #include "partition/partitioned_attention.h"
 #include "quant/quantized_tensor.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 #include "tensor/serialize.h"
@@ -173,6 +176,51 @@ void BM_Gelu(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Gelu);
+
+// The vectorized exp kernel against the scalar libm loop it replaced in
+// gelu, softmax_rows and decode partial attention (items = elements).
+void BM_Exp(benchmark::State& state) {
+  Rng rng(5);
+  const Tensor x = rng.normal_tensor(1, 4096, 4.0F);
+  Tensor y(1, 4096);
+  for (auto _ : state) {
+    detail::exp_span(x.data(), y.data(), x.size());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_Exp);
+
+void BM_ExpLibm(benchmark::State& state) {
+  Rng rng(5);
+  const Tensor x = rng.normal_tensor(1, 4096, 4.0F);
+  Tensor y(1, 4096);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      y.data()[i] = std::exp(x.data()[i]);
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_ExpLibm);
+
+// One head's scores for one device's share of a 128-token prefill on the
+// serving model: 32 query rows x 128 keys.
+void BM_Softmax(benchmark::State& state) {
+  Rng rng(8);
+  const Tensor x = rng.normal_tensor(32, 128, 4.0F);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(softmax_rows(x, 0.125F));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_Softmax);
 
 void BM_TensorSerialize(benchmark::State& state) {
   Rng rng(6);

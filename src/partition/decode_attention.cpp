@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace voltage {
@@ -13,6 +14,16 @@ namespace voltage {
 namespace {
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+
+// Replaces scores[0..p) with exp(score - m) in place, through one call of
+// the vectorized exp kernel, and returns the row max m.
+float exp_shifted_scores(float* scores, std::size_t p) {
+  float m = kNegInf;
+  for (std::size_t j = 0; j < p; ++j) m = std::max(m, scores[j]);
+  for (std::size_t j = 0; j < p; ++j) scores[j] -= m;
+  detail::exp_span(scores, scores, p);
+  return m;
+}
 
 }  // namespace
 
@@ -195,11 +206,10 @@ Tensor decode_partial_attention(const Tensor& x_row,
         for (std::size_t c = 0; c < fh; ++c) dot += qd[c] * kr[c];
         scores[j] = dot * inv_sqrt;
       }
-      float m = kNegInf;
-      for (std::size_t j = 0; j < p; ++j) m = std::max(m, scores[j]);
+      const float m = exp_shifted_scores(scores.data(), p);
       float denom = 0.0F;
       for (std::size_t j = 0; j < p; ++j) {
-        const float e = std::exp(scores[j] - m);
+        const float e = scores[j];
         denom += e;
         const float* vr = cache.position_row(j) + (heads + h) * fh;
         for (std::size_t c = 0; c < fh; ++c) out[2 + c] += e * vr[c];
@@ -221,12 +231,11 @@ Tensor decode_partial_attention(const Tensor& x_row,
         for (std::size_t c = 0; c < f; ++c) dot += qd[c] * xr[c];
         scores[j] = dot * inv_sqrt;
       }
-      float m = kNegInf;
-      for (std::size_t j = 0; j < p; ++j) m = std::max(m, scores[j]);
+      const float m = exp_shifted_scores(scores.data(), p);
       float denom = 0.0F;
       xsum.assign(f, 0.0F);
       for (std::size_t j = 0; j < p; ++j) {
-        const float e = std::exp(scores[j] - m);
+        const float e = scores[j];
         denom += e;
         const float* xr = cache.position_row(j);
         for (std::size_t c = 0; c < f; ++c) xsum[c] += e * xr[c];
@@ -333,11 +342,10 @@ Tensor decode_windows_partial_attention(const Tensor& x_rows,
             for (std::size_t c = 0; c < fh; ++c) dot += qd[c] * kr[c];
             scores[r] = dot * inv_sqrt;
           }
-          float m = kNegInf;
-          for (std::size_t r = 0; r < p; ++r) m = std::max(m, scores[r]);
+          const float m = exp_shifted_scores(scores.data(), p);
           float denom = 0.0F;
           for (std::size_t r = 0; r < p; ++r) {
-            const float e = std::exp(scores[r] - m);
+            const float e = scores[r];
             denom += e;
             const float* vr = cache.position_row(r) + (heads + h) * fh;
             for (std::size_t c = 0; c < fh; ++c) out[2 + c] += e * vr[c];
@@ -352,12 +360,11 @@ Tensor decode_windows_partial_attention(const Tensor& x_rows,
             for (std::size_t c = 0; c < f; ++c) dot += qd[c] * xr[c];
             scores[r] = dot * inv_sqrt;
           }
-          float m = kNegInf;
-          for (std::size_t r = 0; r < p; ++r) m = std::max(m, scores[r]);
+          const float m = exp_shifted_scores(scores.data(), p);
           float denom = 0.0F;
           float* const xs = xsum_all[h].row(j).data();
           for (std::size_t r = 0; r < p; ++r) {
-            const float e = std::exp(scores[r] - m);
+            const float e = scores[r];
             denom += e;
             const float* xr = cache.position_row(r);
             for (std::size_t c = 0; c < f; ++c) xs[c] += e * xr[c];

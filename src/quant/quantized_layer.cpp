@@ -5,6 +5,7 @@
 
 #include "tensor/ops.h"
 #include "transformer/attention.h"
+#include "transformer/ffn.h"
 
 namespace voltage {
 
@@ -113,9 +114,7 @@ Tensor quantized_partitioned_layer_forward(const LayerConfig& config,
       layernorm_rows(r, w.ln_attention.gamma, w.ln_attention.beta);
 
   Tensor hidden = quantized_matmul(y, w.w1);
-  add_bias_inplace(hidden, w.b1);
-  hidden =
-      config.activation == Activation::kGelu ? gelu(hidden) : relu(hidden);
+  ffn_activation_inplace(hidden, w.b1, config.activation);
   Tensor out = quantized_matmul(hidden, w.w2);
   add_bias_inplace(out, w.b2);
   add_inplace(out, y);

@@ -4,6 +4,7 @@
 
 #include "partition/decode_attention.h"
 #include "tensor/ops.h"
+#include "transformer/ffn.h"
 
 namespace voltage {
 
@@ -47,9 +48,7 @@ Tensor QuantizedStack::decode_step_tail(std::size_t layer,
       layernorm_rows(r, w.ln_attention.gamma, w.ln_attention.beta);
 
   Tensor hidden = quantized_matmul(y, w.w1);
-  add_bias_inplace(hidden, w.b1);
-  hidden =
-      config_.activation == Activation::kGelu ? gelu(hidden) : relu(hidden);
+  ffn_activation_inplace(hidden, w.b1, config_.activation);
   Tensor out = quantized_matmul(hidden, w.w2);
   add_bias_inplace(out, w.b2);
   add_inplace(out, y);

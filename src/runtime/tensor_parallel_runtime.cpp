@@ -145,10 +145,9 @@ Tensor TensorParallelRuntime::run(Tensor features) {
       if (!ffn_cols.empty()) {
         Tensor hidden =
             matmul(y, w.ffn.w1.slice_cols(ffn_cols.begin, ffn_cols.end));
-        add_bias_inplace(hidden,
-                         w.ffn.b1.slice_cols(ffn_cols.begin, ffn_cols.end));
-        hidden = cfg.activation == Activation::kGelu ? gelu(hidden)
-                                                     : relu(hidden);
+        ffn_activation_inplace(
+            hidden, w.ffn.b1.slice_cols(ffn_cols.begin, ffn_cols.end),
+            cfg.activation);
         ffn_partial =
             matmul(hidden, w.ffn.w2.slice_rows(ffn_cols.begin, ffn_cols.end));
       }

@@ -9,6 +9,8 @@
 // AVX-512 (gemm_avx512.cpp, 8x32 zmm tile). The entry points below dispatch
 // once per process on __builtin_cpu_supports, always pairing the kernel with
 // the reference from the *same* TU so both share one FP-contraction choice.
+// The vectorized exp (exp_impl.inc) is compiled into the same three TUs and
+// chosen by the same dispatch.
 //
 // Bitwise contract (load-bearing; tests/gemm_test.cpp enforces it):
 //   * Every output element accumulates its k products in strictly increasing
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 namespace voltage::detail {
 
@@ -64,7 +67,32 @@ void gemm_tt(const float* a, const float* b, float* c, std::size_t m,
 void gemm_reference(const float* a, bool trans_a, const float* b, bool trans_b,
                     float* c, std::size_t m, std::size_t k, std::size_t n);
 
+// y[i] = exp(x[i]) for i < n; y may alias x. Vectorized (exp_impl.inc):
+// within 2 ulp of the correctly rounded exp over [-87.3, 88.7], +0 below
+// ln FLT_MIN (-87.3365, no subnormals), +inf from 88.73 up, NaN stays NaN.
+// Each element's result is independent of its index and of n, so a slice
+// of a span equals the same slice computed alone, bit for bit.
+void exp_span(const float* x, float* y, std::size_t n);
+
 // ISA variant the dispatcher selected: "avx512", "avx2", or "base".
 const char* gemm_kernel_arch() noexcept;
+
+// One ISA instantiation: the kernels and their references from one TU.
+// exp_reference is the scalar lane-by-lane exp that exp must equal bitwise,
+// as reference is for blocked.
+struct Dispatch {
+  void (*blocked)(const float*, bool, const float*, bool, float*, std::size_t,
+                  std::size_t, std::size_t, std::size_t, std::size_t);
+  void (*reference)(const float*, bool, const float*, bool, float*,
+                    std::size_t, std::size_t, std::size_t);
+  void (*exp)(const float*, float*, std::size_t);
+  void (*exp_reference)(const float*, float*, std::size_t);
+  const char* arch;
+};
+
+// Every instantiation this build carries and this CPU can run, widest ISA
+// first. The entry points above use the first; tests check each one
+// against its own references.
+std::span<const Dispatch> runnable_dispatches() noexcept;
 
 }  // namespace voltage::detail

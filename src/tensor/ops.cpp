@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 #include <string>
 
@@ -22,6 +21,29 @@ void require(bool ok, const char* what) {
 const char* gemm_variant(Trans ta, Trans tb) {
   if (ta == Trans::kNo) return tb == Trans::kNo ? "nn" : "nt";
   return tb == Trans::kNo ? "tn" : "tt";
+}
+
+// v = gelu(v + bias) over n elements (bias may be null). The tanh form
+// 0.5·v·(1 + tanh(u)), u = √(2/π)(v + 0.044715v³), is rewritten as
+// v / (1 + exp(−2u)): one exp per element, no cancellation for v ≪ 0 (the
+// exp overflows to +inf and the result is −0). Works in L1-sized chunks so
+// the exponent buffer stays hot between the three passes.
+void gelu_span(float* v, const float* bias, std::size_t n) {
+  constexpr float kMinus2Sqrt2OverPi = -2.0F * 0.7978845608028654F;
+  constexpr std::size_t kChunk = 256;
+  alignas(64) float t[kChunk];
+  for (std::size_t i0 = 0; i0 < n; i0 += kChunk) {
+    const std::size_t m = std::min(kChunk, n - i0);
+    float* const h = v + i0;
+    if (bias != nullptr) {
+      for (std::size_t i = 0; i < m; ++i) h[i] += bias[i0 + i];
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      t[i] = kMinus2Sqrt2OverPi * (h[i] + 0.044715F * h[i] * h[i] * h[i]);
+    }
+    detail::exp_span(t, t, m);
+    for (std::size_t i = 0; i < m; ++i) h[i] = h[i] / (1.0F + t[i]);
+  }
 }
 
 }  // namespace
@@ -118,11 +140,12 @@ Tensor softmax_rows(const Tensor& x, float pre_scale) {
     auto o = out.row(r);
     float maxv = -std::numeric_limits<float>::infinity();
     for (const float v : in) maxv = std::max(maxv, v * pre_scale);
-    float sum = 0.0F;
     for (std::size_t c = 0; c < in.size(); ++c) {
-      o[c] = std::exp(in[c] * pre_scale - maxv);
-      sum += o[c];
+      o[c] = in[c] * pre_scale - maxv;
     }
+    detail::exp_span(o.data(), o.data(), o.size());
+    float sum = 0.0F;
+    for (const float v : o) sum += v;
     const float inv = 1.0F / sum;
     for (float& v : o) v *= inv;
   }
@@ -166,13 +189,18 @@ Tensor relu(const Tensor& x) {
 
 Tensor gelu(const Tensor& x) {
   Tensor out = x;
-  constexpr float kSqrt2OverPi = 0.7978845608028654F;
-  for (float& v : out.flat()) {
-    const float inner = kSqrt2OverPi * (v + 0.044715F * v * v * v);
-    v = 0.5F * v * (1.0F + std::tanh(inner));
-  }
+  gelu_span(out.data(), nullptr, out.size());
   flops::add_elementwise(8 * x.size());
   return out;
+}
+
+void bias_gelu_inplace(Tensor& x, const Tensor& bias) {
+  require(bias.rows() == 1 && bias.cols() == x.cols(),
+          "bias_gelu: bias must be 1 x cols");
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    gelu_span(x.row(r).data(), bias.data(), x.cols());
+  }
+  flops::add_elementwise(9 * x.size());  // add_bias_inplace + gelu
 }
 
 Tensor concat_cols(std::span<const Tensor> parts) {

@@ -34,8 +34,12 @@ void scale_inplace(Tensor& a, float s);
                                     const Tensor& beta, float eps = 1e-5F);
 
 [[nodiscard]] Tensor relu(const Tensor& x);
-// tanh-approximation GELU as used by BERT/GPT-2.
+// tanh-approximation GELU as used by BERT/GPT-2, evaluated as
+// v / (1 + exp(-2u)) on the vectorized exp kernel (tensor/gemm.h).
 [[nodiscard]] Tensor gelu(const Tensor& x);
+// x = gelu(x + bias) in one pass; bias is 1 x cols. Bitwise equal to
+// add_bias_inplace followed by gelu, and counted as both.
+void bias_gelu_inplace(Tensor& x, const Tensor& bias);
 
 // Horizontal concatenation: all inputs share the row count.
 [[nodiscard]] Tensor concat_cols(std::span<const Tensor> parts);

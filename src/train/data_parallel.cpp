@@ -73,7 +73,9 @@ DataParallelTrainer::SampleGrads DataParallelTrainer::sample_grads(
 
   std::size_t total = 0;
   for (const Tensor& p : pieces) total += p.size();
-  Tensor flat(1, total);
+  // One column: ring_all_reduce_sum chunks by rows, so every ring message
+  // carries a 1/K share instead of one message carrying all of it.
+  Tensor flat(total, 1);
   std::size_t offset = 0;
   for (const Tensor& p : pieces) {
     std::copy(p.flat().begin(), p.flat().end(),

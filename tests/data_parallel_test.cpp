@@ -1,5 +1,6 @@
 // Tests of the stack backward and the replicated-weights data-parallel
 // trainer (§V-C training story).
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -136,6 +137,38 @@ TEST(DataParallelTrainer, ReplicasStayInLockstep) {
   }
   EXPECT_EQ(trainer.replica_divergence(), 0.0F);
   EXPECT_GT(trainer.fabric().total_stats().bytes_sent, 0U);
+}
+
+TEST(DataParallelTrainer, EveryRingMessageCarriesAnEvenShare) {
+  // K=3: per step each device sends 2(K-1) = 4 ring messages, each one
+  // 1/K of the flat gradient. A one-row gradient would leave 8 of the 12
+  // messages empty and put every byte on one link per ring step.
+  constexpr std::size_t kDevices = 3;
+  constexpr std::uint64_t kSteps = 2;
+  DataParallelTrainer trainer(tiny_config(), 2, 2, kDevices, 5);
+  Rng data(7);
+  for (std::uint64_t step = 0; step < kSteps; ++step) {
+    std::vector<DataParallelTrainer::Sample> batch;
+    for (std::size_t d = 0; d < kDevices; ++d) {
+      batch.push_back(make_sample(data, d % 2));
+    }
+    (void)trainer.step(batch, 0.05F);
+  }
+  EXPECT_EQ(trainer.replica_divergence(), 0.0F);
+  const Transport& fabric = trainer.fabric();
+  constexpr std::uint64_t kMessages = kSteps * 2 * (kDevices - 1);
+  std::uint64_t least = fabric.stats(0).bytes_sent;
+  std::uint64_t most = least;
+  for (DeviceId d = 0; d < kDevices; ++d) {
+    const TrafficStats s = fabric.stats(d);
+    EXPECT_EQ(s.messages_sent, kMessages) << "device " << d;
+    least = std::min(least, s.bytes_sent);
+    most = std::max(most, s.bytes_sent);
+  }
+  // Chunks differ by at most one float, so devices send the same bytes to
+  // within one float per message.
+  EXPECT_LE(most - least, kMessages * sizeof(float));
+  EXPECT_GT(least, 0U);
 }
 
 TEST(DataParallelTrainer, MatchesSingleDeviceBatchTraining) {

@@ -2,10 +2,17 @@
 // every kernel variant must equal the naive i-j-k reference exactly, results
 // must not change with the intra-op thread budget, transposed operands must
 // never be materialized, and the distributed runtime must reproduce
-// single-device inference bit for bit under the naive attention order.
+// single-device inference bit for bit under the naive attention order. The
+// exp kernel that shares the GEMM's ISA dispatch is held to its accuracy
+// bound, its special values, position independence, and its own scalar
+// reference on every ISA the host can run.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -156,6 +163,156 @@ TEST(GemmKernels, MacAccountingIsExactUnderThreading) {
 TEST(GemmKernels, DispatchReportsAKnownArch) {
   const std::string_view arch = detail::gemm_kernel_arch();
   EXPECT_TRUE(arch == "avx512" || arch == "avx2" || arch == "base") << arch;
+}
+
+TEST(GemmKernels, EveryRunnableIsaMatchesItsOwnReference) {
+  const auto isas = detail::runnable_dispatches();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_STREQ(isas.front().arch, detail::gemm_kernel_arch());
+  EXPECT_STREQ(isas.back().arch, "base");
+  Rng rng(29);
+  for (const detail::Dispatch& isa : isas) {
+    for (const Shape& s : test_shapes()) {
+      const Tensor a = rng.normal_tensor(s.m, s.k, 1.0F);
+      const Tensor bt = rng.normal_tensor(s.n, s.k, 1.0F);
+      const Tensor c0 = rng.normal_tensor(s.m, s.n, 1.0F);
+      Tensor c_kernel = c0;
+      Tensor c_ref = c0;
+      isa.blocked(a.data(), false, bt.data(), true, c_kernel.data(), s.m, 0,
+                  s.m, s.k, s.n);
+      isa.reference(a.data(), false, bt.data(), true, c_ref.data(), s.m, s.k,
+                    s.n);
+      SCOPED_TRACE(isa.arch);
+      expect_bitwise(c_kernel, c_ref);
+    }
+  }
+}
+
+// --- exp kernel -------------------------------------------------------------
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+// Inputs covering [-87.3, 88.7]: an even grid of 2^21 points plus every
+// 4099th float bit pattern (dense near zero, where the grid is coarse).
+std::vector<float> exp_sweep() {
+  std::vector<float> xs;
+  constexpr float kLo = -87.3F;
+  constexpr float kHi = 88.7F;
+  constexpr std::size_t kGrid = std::size_t{1} << 21;
+  for (std::size_t i = 0; i <= kGrid; ++i) {
+    xs.push_back(kLo + (kHi - kLo) * static_cast<float>(i) /
+                           static_cast<float>(kGrid));
+  }
+  for (std::uint32_t b = 0; b <= std::bit_cast<std::uint32_t>(kHi);
+       b += 4099) {
+    xs.push_back(std::bit_cast<float>(b));
+  }
+  for (std::uint32_t b = std::bit_cast<std::uint32_t>(-0.0F);
+       b <= std::bit_cast<std::uint32_t>(kLo); b += 4099) {
+    xs.push_back(std::bit_cast<float>(b));
+  }
+  return xs;
+}
+
+// Distance in units in the last place between two finite positive floats.
+std::uint32_t ulp_distance(float a, float b) {
+  const auto ua = std::bit_cast<std::uint32_t>(a);
+  const auto ub = std::bit_cast<std::uint32_t>(b);
+  return ua > ub ? ua - ub : ub - ua;
+}
+
+TEST(ExpKernel, EveryIsaWithinTwoUlpOfCorrectlyRoundedExp) {
+  const std::vector<float> xs = exp_sweep();
+  std::vector<float> ys(xs.size());
+  for (const detail::Dispatch& isa : detail::runnable_dispatches()) {
+    isa.exp(xs.data(), ys.data(), xs.size());
+    std::uint32_t worst = 0;
+    float worst_x = 0.0F;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const auto expected =
+          static_cast<float>(std::exp(static_cast<double>(xs[i])));
+      const std::uint32_t d = ulp_distance(ys[i], expected);
+      if (d > worst) {
+        worst = d;
+        worst_x = xs[i];
+      }
+    }
+    EXPECT_LE(worst, 2U) << isa.arch << " worst at x = " << worst_x;
+  }
+}
+
+TEST(ExpKernel, SpecialValues) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> xs = {-kInf, -1e30F, -88.0F, -87.34F, 0.0F, -0.0F,
+                                 89.0F, 88.73F, kInf,   nan};
+  std::vector<float> ys(xs.size());
+  for (const detail::Dispatch& isa : detail::runnable_dispatches()) {
+    SCOPED_TRACE(isa.arch);
+    isa.exp(xs.data(), ys.data(), xs.size());
+    for (std::size_t i = 0; i < 4; ++i) {
+      // Exactly +0, not a subnormal and not -0.
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(ys[i]), 0U) << "x = " << xs[i];
+    }
+    EXPECT_EQ(ys[4], 1.0F);
+    EXPECT_EQ(ys[5], 1.0F);
+    EXPECT_EQ(ys[6], kInf);
+    EXPECT_EQ(ys[7], kInf);
+    EXPECT_EQ(ys[8], kInf);
+    EXPECT_TRUE(std::isnan(ys[9]));
+  }
+}
+
+TEST(ExpKernel, ResultIndependentOfPositionAndSpanLength) {
+  // Random scores plus the masked and special values attention produces.
+  Rng rng(31);
+  const Tensor scores = rng.normal_tensor(1, 96, 30.0F);
+  std::vector<float> xs(scores.flat().begin(), scores.flat().end());
+  xs[3] = -1e30F;
+  xs[17] = -kInf;
+  xs[40] = std::numeric_limits<float>::quiet_NaN();
+  xs[41] = 100.0F;
+  for (const detail::Dispatch& isa : detail::runnable_dispatches()) {
+    SCOPED_TRACE(isa.arch);
+    std::vector<float> alone(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      isa.exp(&xs[i], &alone[i], 1);
+    }
+    std::vector<float> out(xs.size());
+    for (std::size_t offset = 0; offset + 67 <= xs.size(); ++offset) {
+      for (std::size_t n = 1; n <= 67; ++n) {
+        isa.exp(xs.data() + offset, out.data(), n);
+        ASSERT_EQ(std::memcmp(out.data(), alone.data() + offset,
+                              n * sizeof(float)),
+                  0)
+            << "offset " << offset << " length " << n;
+      }
+    }
+    // In place (y aliases x) gives the same bits.
+    std::vector<float> inplace = xs;
+    isa.exp(inplace.data(), inplace.data(), inplace.size());
+    EXPECT_EQ(std::memcmp(inplace.data(), alone.data(),
+                          xs.size() * sizeof(float)),
+              0);
+  }
+}
+
+TEST(ExpKernel, EveryIsaMatchesItsOwnScalarReferenceBitwise) {
+  std::vector<float> xs = exp_sweep();
+  for (const float special :
+       {-kInf, -1e30F, -88.0F, -87.3365F, 88.72F, 88.73F, 89.0F, 1e30F, kInf,
+        std::numeric_limits<float>::quiet_NaN()}) {
+    xs.push_back(special);
+  }
+  std::vector<float> kernel(xs.size());
+  std::vector<float> reference(xs.size());
+  for (const detail::Dispatch& isa : detail::runnable_dispatches()) {
+    isa.exp(xs.data(), kernel.data(), xs.size());
+    isa.exp_reference(xs.data(), reference.data(), xs.size());
+    EXPECT_EQ(std::memcmp(kernel.data(), reference.data(),
+                          xs.size() * sizeof(float)),
+              0)
+        << isa.arch;
+  }
 }
 
 TEST(GemmDeterminism, ModelForwardBitwiseIdenticalAcrossIntraOpBudgets) {

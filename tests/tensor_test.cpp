@@ -2,7 +2,9 @@
 // RNG determinism and wire serialization.
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <numbers>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -255,6 +257,70 @@ TEST(Ops, GeluMatchesReference) {
   EXPECT_NEAR(y(0, 1), 0.8412F, 1e-3F);
   EXPECT_NEAR(y(0, 2), -0.1588F, 1e-3F);
   EXPECT_NEAR(y(0, 3), 2.9964F, 1e-3F);
+}
+
+TEST(Ops, GeluWithinOneMicroOfDoubleTanhForm) {
+  // 400001 points on [-20, 20] against the tanh form in double precision.
+  constexpr std::size_t kPoints = 400001;
+  Tensor x(1, kPoints);
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    x(0, i) = -20.0F + 40.0F * static_cast<float>(i) /
+                           static_cast<float>(kPoints - 1);
+  }
+  const Tensor y = gelu(x);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    const double v = x(0, i);
+    const double u = std::sqrt(2.0 / std::numbers::pi) *
+                     (v + 0.044715 * v * v * v);
+    const double expected = 0.5 * v * (1.0 + std::tanh(u));
+    worst = std::max(worst, std::abs(static_cast<double>(y(0, i)) - expected));
+  }
+  EXPECT_LE(worst, 1e-6);
+  // Far tails: exactly the identity above, a signed zero below (v³
+  // overflows, the exp saturates to +inf), NaN stays NaN.
+  const Tensor t = gelu(Tensor{{-1e30F, 1e30F, std::nanf("")}});
+  EXPECT_EQ(t(0, 0), 0.0F);
+  EXPECT_EQ(t(0, 1), 1e30F);
+  EXPECT_TRUE(std::isnan(t(0, 2)));
+}
+
+TEST(Ops, BiasGeluEqualsAddBiasThenGeluBitwise) {
+  Rng rng(5);
+  const Tensor x = rng.normal_tensor(7, 301, 3.0F);  // ragged: 301 = 256 + 45
+  const Tensor bias = rng.normal_tensor(1, 301, 1.0F);
+  Tensor separate = x;
+  Tensor fused = x;
+  std::uint64_t separate_ops = 0;
+  std::uint64_t fused_ops = 0;
+  {
+    const flops::Scope scope;
+    add_bias_inplace(separate, bias);
+    separate = gelu(separate);
+    separate_ops = scope.elementwise();
+  }
+  {
+    const flops::Scope scope;
+    bias_gelu_inplace(fused, bias);
+    fused_ops = scope.elementwise();
+  }
+  ASSERT_TRUE(separate.same_shape(fused));
+  EXPECT_EQ(std::memcmp(separate.data(), fused.data(),
+                        fused.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(fused_ops, separate_ops);
+  Tensor bad = x;
+  EXPECT_THROW(bias_gelu_inplace(bad, Tensor(1, 300)), std::invalid_argument);
+}
+
+TEST(Ops, SoftmaxMaskedEntriesAreExactlyZero) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor p = softmax_rows(Tensor{{0.5F, -1e30F, 1.5F, -inf, -90.0F}});
+  EXPECT_EQ(p(0, 1), 0.0F);
+  EXPECT_EQ(p(0, 3), 0.0F);
+  EXPECT_EQ(p(0, 4), 0.0F);
+  EXPECT_NEAR(p(0, 0) + p(0, 2), 1.0F, 1e-6F);
+  EXPECT_NEAR(p(0, 2) / p(0, 0), std::exp(1.0F), 1e-5F);
 }
 
 TEST(Ops, ConcatColsAndRows) {
